@@ -2,6 +2,11 @@
 // and prints the measured report — the command-line counterpart of the
 // paper's measurement runs.
 //
+// One mode table maps each -mode to the flags its runner reads. A flag
+// given explicitly on the command line that the selected mode does not
+// read is rejected — even at its default value — with the one-line error
+// "mode X does not support -Y", so no flag is ever silently ignored.
+//
 // Examples:
 //
 //	vimsim -app idea -size 32768
@@ -53,503 +58,452 @@ import (
 	"repro/internal/rcsched"
 	"repro/internal/ref"
 	"repro/internal/scenario"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
+// options holds every flag value. A runner reads only the flags of its
+// mode-table row; the others keep their defaults.
+type options struct {
+	mode, app, board, policy, arb, arrival, admit, dispatch string
+	scenario, as, match, format, junit, vcd                 string
+	size, split, slots, jobs, boards, prefetch              int
+	bw, gap, budget, rps, tolerance                         float64
+	stage, ramp, pipelined, bounce                          bool
+	seed                                                    int64
+	tele                                                    telemetryFlags
+}
+
+// modeRow is one row of the mode table: the flags a mode's runner reads,
+// the value checks that run before any simulation work, and the runner.
+type modeRow struct {
+	name  string
+	flags string // flag names without the dash, space-separated
+	tele  bool   // the runner also reads the telemetry column
+	check func(*options) error
+	run   func(*options) error
+}
+
+// The flag columns shared by several rows.
+const (
+	singleFlags  = "app size board seed"
+	servingFlags = "board policy slots jobs bw stage budget seed"
+	openFlags    = servingFlags + " rps arrival admit ramp"
+	teleFlags    = "metrics-out trace-out sample-ps"
+)
+
+// modes is the mode table. Record reads the record flags listed here plus
+// its -as mode's row, minus -ramp: validateRecord rejects -ramp, since a
+// scenario pins exactly one run.
+var modes = []modeRow{
+	{"vim", singleFlags + " policy pipelined bounce prefetch vcd", false, checkInput, runSingle},
+	{"normal", singleFlags, false, checkInput, runSingle},
+	{"chunked", singleFlags, false, checkInput, runSingle},
+	{"sw", singleFlags, false, checkInput, runSingle},
+	{"multi", "board arb split size seed", false, checkInput, runMulti},
+	{"serve", servingFlags + " gap", true, checkServe, runServe},
+	{"saturate", openFlags, true, checkSaturate, runSaturate},
+	{"fleet", openFlags + " boards dispatch", true, checkFleet, runFleet},
+	{"record", "scenario as match tolerance", true, nil, runRecord},
+	{"replay", "scenario match format junit", true, checkReplay, runReplayMode},
+}
+
+// modeNames lists the table's modes joined by sep.
+func modeNames(sep string) string {
+	names := make([]string, len(modes))
+	for i, m := range modes {
+		names[i] = m.name
+	}
+	return strings.Join(names, sep)
+}
+
+// newFlagSet defines every vimsim flag on a fresh FlagSet, bound to o.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("vimsim", flag.ContinueOnError)
+	fs.StringVar(&o.app, "app", "idea", "application: vecadd | adpcm | idea")
+	fs.IntVar(&o.size, "size", 16384, "input size in bytes (vecadd: per-vector bytes)")
+	fs.StringVar(&o.board, "board", "EPXA1", "board: EPXA1 | EPXA4 | EPXA10")
+	fs.StringVar(&o.policy, "policy", "fifo", "replacement policy: fifo | lru | clock | random; serve mode: scheduling policy: fcfs | sjf | affinity | edf | slack")
+	fs.StringVar(&o.mode, "mode", "vim", "execution mode: "+modeNames(" | "))
+	fs.StringVar(&o.arb, "arb", "static", "multi mode: inter-session arbitration: static | global-lru")
+	fs.IntVar(&o.split, "split", 0, "multi mode: page frames for the IDEA session (0 = half the pool)")
+	fs.IntVar(&o.slots, "slots", 2, "serve mode: reconfigurable shell slots")
+	fs.IntVar(&o.jobs, "jobs", 24, "serve mode: jobs in the generated multi-user stream")
+	fs.Float64Var(&o.bw, "bw", 0, "serve mode: configuration-port bandwidth, bytes/s (0 = default)")
+	fs.Float64Var(&o.gap, "gap", 0.15, "serve mode: mean arrival gap in ms")
+	fs.BoolVar(&o.stage, "stage", false, "serve mode: pre-stage the next bitstream while slots execute")
+	fs.Float64Var(&o.budget, "budget", rcsched.DefaultBudgetFactor, "serve/saturate mode: service-level budget factor scaling every job's deadline (saturate: 0 strips deadlines)")
+	fs.Float64Var(&o.rps, "rps", 800, "saturate mode: offered arrival rate, jobs/s")
+	fs.StringVar(&o.arrival, "arrival", "poisson", "saturate mode: arrival process: uniform | poisson | bursty")
+	fs.StringVar(&o.admit, "admit", "off", "saturate mode: admission control: off | reject | degrade")
+	fs.BoolVar(&o.ramp, "ramp", false, "saturate/fleet mode: sweep offered RPS up a linear ramp to the saturation knee instead of serving one rate")
+	fs.IntVar(&o.boards, "boards", 4, "fleet mode: independent boards behind the dispatcher")
+	fs.StringVar(&o.dispatch, "dispatch", "least-loaded", "fleet mode: dispatch policy: random | least-loaded | affinity | po2")
+	fs.StringVar(&o.scenario, "scenario", "", "record mode: scenario file to write; replay mode: scenario file or directory to replay")
+	fs.StringVar(&o.as, "as", "serve", "record mode: which serving run to record: serve | saturate | fleet")
+	fs.StringVar(&o.match, "match", "", "record mode: match mode stored in the scenario; replay mode: override the file's mode: strict | metrics")
+	fs.Float64Var(&o.tolerance, "tolerance", 0, "record mode: metrics-match relative tolerance stored in the scenario (0 = default)")
+	fs.StringVar(&o.format, "format", "text", "replay mode: result format on stdout: text | json | junit")
+	fs.StringVar(&o.junit, "junit", "", "replay mode: also write a JUnit XML report to this path")
+	fs.StringVar(&o.tele.metricsOut, "metrics-out", "", "serving modes: write the run's metrics to this path (.json suffix = JSON dump, else Prometheus text)")
+	fs.StringVar(&o.tele.traceOut, "trace-out", "", "serving modes: write the run's Chrome trace-event JSON (Perfetto-loadable) to this path")
+	fs.Float64Var(&o.tele.samplePs, "sample-ps", 0, "serving modes: simulated-time gauge sampling interval in picoseconds (0 = no time series; needs -metrics-out)")
+	fs.BoolVar(&o.pipelined, "pipelined", false, "use the pipelined IMU")
+	fs.BoolVar(&o.bounce, "bounce", false, "use the double-transfer (bounce buffer) page path")
+	fs.IntVar(&o.prefetch, "prefetch", 0, "sequential prefetch pages per fault")
+	fs.Int64Var(&o.seed, "seed", 1, "input data seed; serve mode: trace seed")
+	fs.StringVar(&o.vcd, "vcd", "", "write a session waveform (VCD) to this path (vim mode only)")
+	return fs
+}
+
+// exitCode ends the process with that status and no log line: whatever
+// explains it (usage text, a replay report) is already printed.
+type exitCode int
+
+func (c exitCode) Error() string { return fmt.Sprintf("exit status %d", int(c)) }
+
+// parse parses args into a fresh FlagSet, rejects every explicitly given
+// flag the selected mode's row does not list, and runs the row's value
+// checks. The returned function runs the mode.
+func parse(args []string) (func() error, error) {
+	o := &options{}
+	fs := newFlagSet(o)
+	if err := fs.Parse(args); err != nil { // the FlagSet has printed it
+		if errors.Is(err, flag.ErrHelp) {
+			return nil, exitCode(0)
+		}
+		return nil, exitCode(2)
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q (vimsim takes flags only; see -h)", fs.Arg(0))
+	}
+	row, ok := lookupMode(o.mode)
+	if !ok {
+		return nil, fmt.Errorf("unknown -mode %q (want %s)", o.mode, modeNames(", "))
+	}
+	name := o.mode
+	if o.mode == "record" {
+		if err := validateRecord(o.as, o.scenario, o.match, o.tolerance, o.ramp); err != nil {
+			return nil, err
+		}
+		as, _ := lookupMode(o.as)
+		name = "record -as " + o.as
+		row.flags += " " + as.flags
+		row.check = as.check
+	}
+	if row.tele {
+		row.flags += " " + teleFlags
+	}
+	reads := map[string]bool{"mode": true}
+	for _, f := range strings.Fields(row.flags) {
+		reads[f] = true
+	}
+	var unread string // the first given flag the row does not list
+	fs.Visit(func(f *flag.Flag) {
+		if !reads[f.Name] && unread == "" {
+			unread = f.Name
+		}
+	})
+	if unread != "" {
+		return nil, fmt.Errorf("mode %s does not support -%s", name, unread)
+	}
+	if row.check != nil {
+		if err := row.check(o); err != nil {
+			return nil, err
+		}
+	}
+	if row.tele {
+		if err := o.tele.validate(o.ramp); err != nil {
+			return nil, err
+		}
+	}
+	return func() error { return row.run(o) }, nil
+}
+
+// lookupMode returns the mode table's row for name.
+func lookupMode(name string) (modeRow, bool) {
+	for _, m := range modes {
+		if m.name == name {
+			return m, true
+		}
+	}
+	return modeRow{}, false
+}
+
 func main() {
-	app := flag.String("app", "idea", "application: vecadd | adpcm | idea")
-	size := flag.Int("size", 16384, "input size in bytes (vecadd: per-vector bytes)")
-	board := flag.String("board", "EPXA1", "board: EPXA1 | EPXA4 | EPXA10")
-	policy := flag.String("policy", "fifo", "replacement policy: fifo | lru | clock | random; serve mode: scheduling policy: fcfs | sjf | affinity | edf | slack")
-	mode := flag.String("mode", "vim", "execution mode: vim | normal | chunked | sw | multi | serve | saturate | fleet | record | replay")
-	arb := flag.String("arb", "static", "multi mode: inter-session arbitration: static | global-lru")
-	split := flag.Int("split", 0, "multi mode: page frames for the IDEA session (0 = half the pool)")
-	slots := flag.Int("slots", 2, "serve mode: reconfigurable shell slots")
-	jobs := flag.Int("jobs", 24, "serve mode: jobs in the generated multi-user stream")
-	bw := flag.Float64("bw", 0, "serve mode: configuration-port bandwidth, bytes/s (0 = default)")
-	gap := flag.Float64("gap", 0.15, "serve mode: mean arrival gap in ms")
-	stage := flag.Bool("stage", false, "serve mode: pre-stage the next bitstream while slots execute")
-	budget := flag.Float64("budget", rcsched.DefaultBudgetFactor, "serve/saturate mode: service-level budget factor scaling every job's deadline (saturate: 0 strips deadlines)")
-	rps := flag.Float64("rps", 800, "saturate mode: offered arrival rate, jobs/s")
-	arrival := flag.String("arrival", "poisson", "saturate mode: arrival process: uniform | poisson | bursty")
-	admit := flag.String("admit", "off", "saturate mode: admission control: off | reject | degrade")
-	ramp := flag.Bool("ramp", false, "saturate/fleet mode: sweep offered RPS up a linear ramp to the saturation knee instead of serving one rate")
-	boards := flag.Int("boards", 4, "fleet mode: independent boards behind the dispatcher")
-	dispatch := flag.String("dispatch", "least-loaded", "fleet mode: dispatch policy: random | least-loaded | affinity | po2")
-	scenarioPath := flag.String("scenario", "", "record mode: scenario file to write; replay mode: scenario file or directory to replay")
-	as := flag.String("as", "serve", "record mode: which serving run to record: serve | saturate | fleet")
-	match := flag.String("match", "", "record mode: match mode stored in the scenario; replay mode: override the file's mode: strict | metrics")
-	tolerance := flag.Float64("tolerance", 0, "record mode: metrics-match relative tolerance stored in the scenario (0 = default)")
-	format := flag.String("format", "text", "replay mode: result format on stdout: text | json | junit")
-	junitPath := flag.String("junit", "", "replay mode: also write a JUnit XML report to this path")
-	metricsOut := flag.String("metrics-out", "", "serving modes: write the run's metrics to this path (.json suffix = JSON dump, else Prometheus text)")
-	traceOut := flag.String("trace-out", "", "serving modes: write the run's Chrome trace-event JSON (Perfetto-loadable) to this path")
-	samplePs := flag.Float64("sample-ps", 0, "serving modes: simulated-time gauge sampling interval in picoseconds (0 = no time series; needs -metrics-out)")
-	pipelined := flag.Bool("pipelined", false, "use the pipelined IMU")
-	bounce := flag.Bool("bounce", false, "use the double-transfer (bounce buffer) page path")
-	prefetch := flag.Int("prefetch", 0, "sequential prefetch pages per fault")
-	seed := flag.Int64("seed", 1, "input data seed; serve mode: trace seed")
-	vcdPath := flag.String("vcd", "", "write a session waveform (VCD) to this path (vim mode only)")
-	flag.Parse()
-	vcdOut = *vcdPath
-	tele := telemetryFlags{metricsOut: *metricsOut, traceOut: *traceOut, samplePs: *samplePs}
-
-	cfg := repro.Config{
-		Board:         *board,
-		Policy:        *policy,
-		PipelinedIMU:  *pipelined,
-		BounceBuffer:  *bounce,
-		PrefetchPages: *prefetch,
-		Seed:          *seed,
+	run, err := parse(os.Args[1:])
+	if err == nil {
+		err = run()
 	}
-
-	if *mode == "serve" {
-		pol := *policy
-		if pol == "fifo" { // the single-run flag default; serving defaults to FCFS
-			pol = "fcfs"
-		}
-		// Reject flags the serving loop would silently ignore (the trace
-		// fixes the application mix and sizes; the shell fixes static
-		// arbitration and the translation path), matching multi mode.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-			{*size != 16384, "-size"},
-			{*arb != "static", "-arb"},
-			{*split != 0, "-split"},
-			{*vcdPath != "", "-vcd"},
-			{*rps != 800, "-rps"},
-			{*arrival != "poisson", "-arrival"},
-			{*admit != "off", "-admit"},
-			{*ramp, "-ramp"},
-			{*boards != 4, "-boards"},
-			{*dispatch != "least-loaded", "-dispatch"},
-		} {
-			if f.set {
-				log.Fatalf("mode serve does not support %s (serves the generated mixed trace on a static-partition shell)", f.name)
-			}
-		}
-		if err := tele.validate(false); err != nil {
-			log.Fatal(err)
-		}
-		if err := runServe(*board, pol, *slots, *jobs, *bw, *gap, *budget, *seed, *stage, tele); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *mode == "saturate" {
-		pol := *policy
-		if pol == "fifo" { // the single-run flag default; serving defaults to FCFS
-			pol = "fcfs"
-		}
-		// Reject flags the open-loop server would silently ignore: the
-		// arrival process replaces the closed-form -gap, and the stream
-		// fixes the application mix like serve mode.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-			{*size != 16384, "-size"},
-			{*arb != "static", "-arb"},
-			{*split != 0, "-split"},
-			{*vcdPath != "", "-vcd"},
-			{*gap != 0.15, "-gap"},
-			{*boards != 4, "-boards"},
-			{*dispatch != "least-loaded", "-dispatch"},
-		} {
-			if f.set {
-				log.Fatalf("mode saturate does not support %s (open-loop arrivals come from -arrival and -rps)", f.name)
-			}
-		}
-		if err := validateSaturate(*rps, *arrival, *admit, *budget, *jobs); err != nil {
-			log.Fatal(err)
-		}
-		if err := tele.validate(*ramp); err != nil {
-			log.Fatal(err)
-		}
-		if err := runSaturate(*board, pol, *slots, *jobs, *bw, *budget, *seed, *stage,
-			*rps, *arrival, *admit, *ramp, tele); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *mode == "fleet" {
-		pol := *policy
-		if pol == "fifo" { // the single-run flag default; serving defaults to FCFS
-			pol = "fcfs"
-		}
-		// Reject flags the fleet dispatcher would silently ignore, matching
-		// saturate mode: the stream fixes the application mix and open-loop
-		// arrivals come from -arrival and -rps.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-			{*size != 16384, "-size"},
-			{*arb != "static", "-arb"},
-			{*split != 0, "-split"},
-			{*vcdPath != "", "-vcd"},
-			{*gap != 0.15, "-gap"},
-		} {
-			if f.set {
-				log.Fatalf("mode fleet does not support %s (open-loop arrivals come from -arrival and -rps)", f.name)
-			}
-		}
-		if *boards <= 0 {
-			log.Fatalf("fleet: -boards must be positive, got %d", *boards)
-		}
-		if err := validateSaturate(*rps, *arrival, *admit, *budget, *jobs); err != nil {
-			log.Fatal(err)
-		}
-		if err := tele.validate(*ramp); err != nil {
-			log.Fatal(err)
-		}
-		if err := runFleet(*board, pol, *dispatch, *boards, *slots, *jobs, *bw, *budget,
-			*seed, *stage, *rps, *arrival, *admit, *ramp, tele); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *mode == "record" {
-		pol := *policy
-		if pol == "fifo" { // the single-run flag default; serving defaults to FCFS
-			pol = "fcfs"
-		}
-		// Recording composes with every flag of the run it records, and
-		// rejects the rest exactly as that mode would — plus -ramp, which
-		// sweeps many runs where a scenario pins exactly one.
-		type badFlag struct {
-			set  bool
-			name string
-		}
-		rejects := []badFlag{
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-			{*size != 16384, "-size"},
-			{*arb != "static", "-arb"},
-			{*split != 0, "-split"},
-			{*vcdPath != "", "-vcd"},
-			{*junitPath != "", "-junit"},
-			{*format != "text", "-format"},
-		}
-		switch *as {
-		case "serve":
-			rejects = append(rejects,
-				badFlag{*rps != 800, "-rps"},
-				badFlag{*arrival != "poisson", "-arrival"},
-				badFlag{*admit != "off", "-admit"},
-				badFlag{*boards != 4, "-boards"},
-				badFlag{*dispatch != "least-loaded", "-dispatch"})
-		case "saturate":
-			rejects = append(rejects,
-				badFlag{*gap != 0.15, "-gap"},
-				badFlag{*boards != 4, "-boards"},
-				badFlag{*dispatch != "least-loaded", "-dispatch"})
-		case "fleet":
-			rejects = append(rejects, badFlag{*gap != 0.15, "-gap"})
-		}
-		for _, f := range rejects {
-			if f.set {
-				log.Fatalf("mode record -as %s does not support %s (records exactly what mode %s would run)", *as, f.name, *as)
-			}
-		}
-		if err := validateRecord(*as, *scenarioPath, *match, *tolerance, *ramp); err != nil {
-			log.Fatal(err)
-		}
-		if err := tele.validate(*ramp); err != nil {
-			log.Fatal(err)
-		}
-		if *as != "serve" {
-			if err := validateSaturate(*rps, *arrival, *admit, *budget, *jobs); err != nil {
-				log.Fatal(err)
-			}
-			if *as == "fleet" && *boards <= 0 {
-				log.Fatalf("fleet: -boards must be positive, got %d", *boards)
-			}
-		}
-		if err := runRecord(*scenarioPath, *as, *board, pol, *dispatch, *boards, *slots, *jobs,
-			*bw, *gap, *budget, *seed, *stage, *rps, *arrival, *admit,
-			scenario.Match{Mode: *match, Tolerance: *tolerance}, tele); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *mode == "replay" {
-		// Replay takes everything from the scenario file; any run-shaping
-		// flag would be silently ignored, so reject them all.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-			{*size != 16384, "-size"},
-			{*arb != "static", "-arb"},
-			{*split != 0, "-split"},
-			{*vcdPath != "", "-vcd"},
-			{*policy != "fifo", "-policy"},
-			{*board != "EPXA1", "-board"},
-			{*slots != 2, "-slots"},
-			{*jobs != 24, "-jobs"},
-			{*bw != 0, "-bw"},
-			{*gap != 0.15, "-gap"},
-			{*stage, "-stage"},
-			{*budget != rcsched.DefaultBudgetFactor, "-budget"},
-			{*seed != 1, "-seed"},
-			{*rps != 800, "-rps"},
-			{*arrival != "poisson", "-arrival"},
-			{*admit != "off", "-admit"},
-			{*ramp, "-ramp"},
-			{*boards != 4, "-boards"},
-			{*dispatch != "least-loaded", "-dispatch"},
-			{*tolerance != 0, "-tolerance"},
-		} {
-			if f.set {
-				log.Fatalf("mode replay does not support %s (the scenario file pins the whole run; use -match to override matching)", f.name)
-			}
-		}
-		if err := validateReplay(*scenarioPath, *match, *format); err != nil {
-			log.Fatal(err)
-		}
-		if err := tele.validate(false); err != nil {
-			log.Fatal(err)
-		}
-		ok, err := runReplay(*scenarioPath, *match, *format, *junitPath, tele)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
-	if *stage {
-		log.Fatalf("-stage only applies to -mode serve, saturate, fleet or record")
-	}
-	if *budget != rcsched.DefaultBudgetFactor {
-		log.Fatalf("-budget only applies to -mode serve, saturate, fleet or record")
-	}
-	if *ramp || *rps != 800 || *arrival != "poisson" || *admit != "off" {
-		log.Fatalf("-rps, -arrival, -admit and -ramp only apply to -mode saturate, fleet or record")
-	}
-	if *boards != 4 || *dispatch != "least-loaded" {
-		log.Fatalf("-boards and -dispatch only apply to -mode fleet or record")
-	}
-	if *scenarioPath != "" || *as != "serve" || *match != "" || *tolerance != 0 ||
-		*format != "text" || *junitPath != "" {
-		log.Fatalf("-scenario, -as, -match, -tolerance, -format and -junit only apply to -mode record or replay")
-	}
-	if tele.enabled() || tele.samplePs != 0 {
-		log.Fatalf("-metrics-out, -trace-out and -sample-ps only apply to -mode serve, saturate, fleet, record or replay")
-	}
-
-	if *mode == "multi" {
-		// The multi-session gang fixes its own coprocessor pair, FIFO
-		// per-session policies and clock plan; reject flags it would
-		// silently ignore rather than print a report contradicting them.
-		for _, f := range []struct {
-			set  bool
-			name string
-		}{
-			{*policy != "fifo", "-policy"},
-			{*pipelined, "-pipelined"},
-			{*bounce, "-bounce"},
-			{*prefetch != 0, "-prefetch"},
-			{*app != "idea", "-app"},
-		} {
-			if f.set {
-				log.Fatalf("mode multi does not support %s (runs IDEA+ADPCM with per-session FIFO)", f.name)
-			}
-		}
-		if err := runMulti(*board, *arb, *split, *size, *seed); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	rep, err := run(cfg, *app, *mode, *size, *seed)
-	if errors.Is(err, baseline.ErrExceedsMemory) {
-		fmt.Printf("%s %d bytes in %q mode: exceeds available memory (the paper's Figure 9 annotation)\n",
-			*app, *size, *mode)
-		os.Exit(0)
+	var code exitCode
+	if errors.As(err, &code) {
+		os.Exit(int(code))
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
+}
+
+// checkInput rejects single-run inputs that hold no data and negative
+// prefetch depths. Multi mode always runs IDEA, and its row leaves -app at
+// its default "idea".
+func checkInput(o *options) error {
+	if o.size <= 0 {
+		return fmt.Errorf("-size must be positive, got %d (try -size 16384)", o.size)
+	}
+	if o.app == "idea" && o.size&^7 == 0 {
+		return fmt.Errorf("-size %d holds no whole 8-byte IDEA block (try -size 16384)", o.size)
+	}
+	if o.prefetch < 0 {
+		return fmt.Errorf("-prefetch must be non-negative, got %d (try -prefetch 1)", o.prefetch)
+	}
+	return nil
+}
+
+func checkServe(o *options) error {
+	if o.budget <= 0 {
+		return fmt.Errorf("serve: service-level budget factor must be positive, got %g (try -budget 2)", o.budget)
+	}
+	return nil
+}
+
+func checkSaturate(o *options) error {
+	return validateSaturate(o.rps, o.arrival, o.admit, o.budget, o.jobs)
+}
+
+func checkFleet(o *options) error {
+	if o.boards <= 0 {
+		return fmt.Errorf("fleet: -boards must be positive, got %d", o.boards)
+	}
+	return checkSaturate(o)
+}
+
+func checkReplay(o *options) error {
+	return validateReplay(o.scenario, o.match, o.format)
+}
+
+// boardConfig builds one board's serving config, metered by meter (nil =
+// off), for the serving modes and record. The single-run -policy default
+// fifo maps to the serving default fcfs.
+func (o *options) boardConfig(meter *telemetry.Meter) rcsched.Config {
+	policy := o.policy
+	if policy == "fifo" {
+		policy = "fcfs"
+	}
+	return rcsched.Config{
+		Board:    o.board,
+		Slots:    o.slots,
+		Policy:   policy,
+		ConfigBW: o.bw,
+		Stage:    o.stage,
+		Admit:    o.admit,
+		Meter:    meter,
+	}
+}
+
+// fleetConfig builds the fleet config for fleet mode and record -as fleet.
+func (o *options) fleetConfig(meter *telemetry.Meter) fleet.Config {
+	return fleet.Config{
+		Boards:   o.boards,
+		Dispatch: o.dispatch,
+		Seed:     o.seed,
+		Board:    o.boardConfig(nil),
+		Meter:    meter,
+	}
+}
+
+// stream builds the job stream mode serves: serve's closed-form multi-user
+// trace, or the open-loop arrival process of saturate and fleet, where
+// -budget 0 strips every deadline.
+func (o *options) stream(mode string) ([]rcsched.Job, error) {
+	if mode == "serve" {
+		stream, err := rcsched.Trace(o.jobs, o.seed, o.gap*1e9)
+		if err != nil {
+			return nil, err
+		}
+		rcsched.SetBudgets(stream, o.budget)
+		return stream, nil
+	}
+	stream, err := traffic.Stream(o.jobs, o.seed, o.spec())
+	if err != nil {
+		return nil, err
+	}
+	if o.budget == 0 {
+		for i := range stream {
+			stream[i].DeadlinePs = 0
+		}
+	} else if o.budget != rcsched.DefaultBudgetFactor {
+		rcsched.SetBudgets(stream, o.budget)
+	}
+	return stream, nil
+}
+
+func (o *options) spec() traffic.Spec { return traffic.Spec{Process: o.arrival, RPS: o.rps} }
+
+// rampSpec sweeps from a quarter of the target rate up to three times it.
+func (o *options) rampSpec() traffic.RampSpec {
+	return traffic.RampSpec{StartRPS: o.rps / 4, StepRPS: o.rps / 4, Steps: 12, Jobs: o.jobs, Seed: o.seed}
+}
+
+// runSingle runs one application in vim, normal, chunked or sw mode and
+// prints its report.
+func runSingle(o *options) error {
+	run := runVirtual
+	if o.mode == "normal" || o.mode == "chunked" {
+		run = runBaseline
+	}
+	rep, err := run(o)
+	if errors.Is(err, baseline.ErrExceedsMemory) {
+		fmt.Printf("%s %d bytes in %q mode: exceeds available memory (the paper's Figure 9 annotation)\n",
+			o.app, o.size, o.mode)
+		return nil
+	}
+	if err != nil {
+		return err
+	}
 	printReport(rep)
-	flushTrace()
-}
-
-func run(cfg repro.Config, app, mode string, size int, seed int64) (*core.Report, error) {
-	switch mode {
-	case "normal", "chunked":
-		return runBaseline(cfg, app, mode, size, seed)
-	case "vim", "sw":
-		return runVirtual(cfg, app, mode, size, seed)
-	default:
-		return nil, fmt.Errorf("unknown mode %q", mode)
+	if o.vcd != "" {
+		fmt.Printf("waveform     %s\n", o.vcd)
 	}
+	return nil
 }
 
-func runVirtual(cfg repro.Config, app, mode string, size int, seed int64) (*core.Report, error) {
-	sys, err := repro.NewSystem(cfg)
+// runVirtual runs -app on seeded random input, behind the VIM (vim mode)
+// or in pure software (sw mode), writing the session waveform to -vcd.
+func runVirtual(o *options) (*core.Report, error) {
+	sys, err := repro.NewSystem(repro.Config{
+		Board:         o.board,
+		Policy:        o.policy,
+		PipelinedIMU:  o.pipelined,
+		BounceBuffer:  o.bounce,
+		PrefetchPages: o.prefetch,
+		Seed:          o.seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	p, err := sys.NewProcess(app)
+	p, err := sys.NewProcess(o.app)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-
-	switch app {
+	rng := rand.New(rand.NewSource(o.seed))
+	size := o.size
+	type object struct {
+		id  int
+		buf repro.Buffer
+		dir repro.Direction
+	}
+	var (
+		bitstream []byte
+		objects   []object
+		params    []uint32
+		board     = sys.Board().Spec.Name
+	)
+	switch o.app {
 	case "vecadd":
-		n := size / 4
-		a, err := p.Alloc(size)
+		b, err := allocFill(p, rng, 2, size, size, size)
 		if err != nil {
 			return nil, err
 		}
-		b, err := p.Alloc(size)
-		if err != nil {
-			return nil, err
+		if o.mode == "sw" {
+			return p.RunVecAddSW(b[0], b[1], b[2], size/4), nil
 		}
-		c, err := p.Alloc(size)
-		if err != nil {
-			return nil, err
-		}
-		buf := make([]byte, size)
-		rng.Read(buf)
-		if err := a.Write(buf); err != nil {
-			return nil, err
-		}
-		rng.Read(buf)
-		if err := b.Write(buf); err != nil {
-			return nil, err
-		}
-		if mode == "sw" {
-			return p.RunVecAddSW(a, b, c, n), nil
-		}
-		if err := p.FPGALoad(repro.VecAddBitstream(sys.Board().Spec.Name)); err != nil {
-			return nil, err
-		}
-		if err := armTrace(p); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.VecAddObjA, a, repro.In); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.VecAddObjB, b, repro.In); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.VecAddObjC, c, repro.Out); err != nil {
-			return nil, err
-		}
-		return p.FPGAExecute(uint32(n))
-
+		bitstream, params = repro.VecAddBitstream(board), []uint32{uint32(size / 4)}
+		objects = []object{{repro.VecAddObjA, b[0], repro.In}, {repro.VecAddObjB, b[1], repro.In}, {repro.VecAddObjC, b[2], repro.Out}}
 	case "adpcm":
-		in, err := p.Alloc(size)
+		b, err := allocFill(p, rng, 1, size, size*4)
 		if err != nil {
 			return nil, err
 		}
-		out, err := p.Alloc(size * 4)
-		if err != nil {
-			return nil, err
+		if o.mode == "sw" {
+			return p.RunADPCMDecodeSW(b[0], b[1])
 		}
-		packed := make([]byte, size)
-		rng.Read(packed)
-		if err := in.Write(packed); err != nil {
-			return nil, err
-		}
-		if mode == "sw" {
-			return p.RunADPCMDecodeSW(in, out)
-		}
-		if err := p.FPGALoad(repro.ADPCMBitstream(sys.Board().Spec.Name)); err != nil {
-			return nil, err
-		}
-		if err := armTrace(p); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.ADPCMObjIn, in, repro.In); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.ADPCMObjOut, out, repro.Out); err != nil {
-			return nil, err
-		}
-		return p.FPGAExecute(uint32(size))
-
+		bitstream, params = repro.ADPCMBitstream(board), []uint32{uint32(size)}
+		objects = []object{{repro.ADPCMObjIn, b[0], repro.In}, {repro.ADPCMObjOut, b[1], repro.Out}}
 	case "idea":
-		size = size &^ 7
-		in, err := p.Alloc(size)
-		if err != nil {
-			return nil, err
-		}
-		out, err := p.Alloc(size)
-		if err != nil {
-			return nil, err
-		}
+		size &^= 7
 		var key repro.IDEAKey
 		rng.Read(key[:])
-		plain := make([]byte, size)
-		rng.Read(plain)
-		if err := in.Write(plain); err != nil {
+		b, err := allocFill(p, rng, 1, size, size)
+		if err != nil {
 			return nil, err
 		}
-		if mode == "sw" {
-			return p.RunIDEASW(key, in, out)
+		if o.mode == "sw" {
+			return p.RunIDEASW(key, b[0], b[1])
 		}
-		if err := p.FPGALoad(repro.IDEABitstream(sys.Board().Spec.Name)); err != nil {
-			return nil, err
-		}
-		if err := armTrace(p); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.IDEAObjIn, in, repro.In); err != nil {
-			return nil, err
-		}
-		if err := p.FPGAMapObject(repro.IDEAObjOut, out, repro.Out); err != nil {
-			return nil, err
-		}
-		return p.FPGAExecute(repro.IDEAEncryptParams(key, size/8)...)
+		bitstream, params = repro.IDEABitstream(board), repro.IDEAEncryptParams(key, size/8)
+		objects = []object{{repro.IDEAObjIn, b[0], repro.In}, {repro.IDEAObjOut, b[1], repro.Out}}
+	default:
+		return nil, fmt.Errorf("unknown app %q", o.app)
 	}
-	return nil, fmt.Errorf("unknown app %q", app)
+	if err := p.FPGALoad(bitstream); err != nil {
+		return nil, err
+	}
+	var rec *trace.Recorder
+	if o.vcd != "" {
+		if rec, err = p.Session().TraceSession(); err != nil {
+			return nil, err
+		}
+	}
+	for _, o := range objects {
+		if err := p.FPGAMapObject(o.id, o.buf, o.dir); err != nil {
+			return nil, err
+		}
+	}
+	rep, err := p.FPGAExecute(params...)
+	if err != nil || rec == nil {
+		return rep, err
+	}
+	f, err := os.Create(o.vcd)
+	if err != nil {
+		return nil, err
+	}
+	if err := core.WriteVCD(f, rec); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return rep, f.Close()
+}
+
+// allocFill allocates one buffer per size and fills the first filled of
+// them, in order, with random bytes drawn from rng.
+func allocFill(p *repro.Process, rng *rand.Rand, filled int, sizes ...int) ([]repro.Buffer, error) {
+	bufs := make([]repro.Buffer, len(sizes))
+	for i, n := range sizes {
+		var err error
+		if bufs[i], err = p.Alloc(n); err != nil {
+			return nil, err
+		}
+	}
+	for i, b := range bufs[:filled] {
+		data := make([]byte, sizes[i])
+		rng.Read(data)
+		if err := b.Write(data); err != nil {
+			return nil, err
+		}
+	}
+	return bufs, nil
 }
 
 // runMulti runs the multi-coprocessor sessions gang: IDEA (size bytes) and
 // ADPCM (size/2 bytes) concurrently behind one VIM, and prints the shared
 // and per-session report.
-func runMulti(board, arb string, split, size int, seed int64) error {
-	spec, ok := platform.SpecByName(board)
+func runMulti(o *options) error {
+	spec, ok := platform.SpecByName(o.board)
 	if !ok {
-		return fmt.Errorf("unknown board %q", board)
+		return fmt.Errorf("unknown board %q", o.board)
 	}
 	pages := spec.DPBytes >> spec.PageLog
+	split := o.split
 	if split == 0 {
 		split = pages / 2
 	}
 	if split < 2 || split > pages-2 {
-		return fmt.Errorf("split %d out of range [2,%d] on %s", split, pages-2, board)
+		return fmt.Errorf("split %d out of range [2,%d] on %s", split, pages-2, o.board)
 	}
-	size = size &^ 7
-	rep, err := exp.SessionsGang(board, arb, split, size, size/2, seed)
+	size := o.size &^ 7
+	rep, err := exp.SessionsGang(o.board, o.arb, split, size, size/2, o.seed)
 	if err != nil {
 		return err
 	}
@@ -574,32 +528,21 @@ func runMulti(board, arb string, split, size int, seed int64) error {
 // runServe generates a seeded multi-user job stream and serves it through
 // the dynamic reconfiguration scheduler, printing the per-job log and the
 // aggregate report.
-func runServe(board, policy string, slots, jobs int, bw, gapMs, budget float64, seed int64, stage bool, tele telemetryFlags) error {
-	if budget <= 0 {
-		return fmt.Errorf("service-level budget factor must be positive, got %g", budget)
-	}
-	stream, err := rcsched.Trace(jobs, seed, gapMs*1e9)
+func runServe(o *options) error {
+	stream, err := o.stream("serve")
 	if err != nil {
 		return err
 	}
-	rcsched.SetBudgets(stream, budget)
-	meter := tele.meter()
-	rep, err := rcsched.Serve(rcsched.Config{
-		Board:    board,
-		Slots:    slots,
-		Policy:   policy,
-		ConfigBW: bw,
-		Stage:    stage,
-		Meter:    meter,
-	}, stream)
+	meter := o.tele.meter()
+	rep, err := rcsched.Serve(o.boardConfig(meter), stream)
 	if err != nil {
 		return err
 	}
 	staging := "off"
-	if stage {
+	if o.stage {
 		staging = fmt.Sprintf("on (%d commits, %d cancels)", rep.StageCommits, rep.StageCancels)
 	}
-	fmt.Printf("mode        serve (%d jobs, seed %d, mean gap %.2f ms, budget factor %g)\n", jobs, seed, gapMs, budget)
+	fmt.Printf("mode        serve (%d jobs, seed %d, mean gap %.2f ms, budget factor %g)\n", o.jobs, o.seed, o.gap, o.budget)
 	fmt.Printf("board       %s\n", rep.Board)
 	fmt.Printf("policy      %s\n", rep.Policy)
 	fmt.Printf("slots       %d\n", rep.Slots)
@@ -633,7 +576,7 @@ func runServe(board, policy string, slots, jobs int, bw, gapMs, budget float64, 
 			j.ID, j.App, j.Size, j.Slot, j.ArrivalPs/1e9, j.QueueWaitPs/1e9, j.ExecPs/1e9, j.DonePs/1e9,
 			j.DeadlinePs/1e9, slo, reconf)
 	}
-	return tele.export(meter)
+	return o.tele.export(meter)
 }
 
 // validateSaturate checks the saturate-mode flag combination before any
@@ -665,78 +608,34 @@ func validateSaturate(rps float64, arrival, admit string, budget float64, jobs i
 	return nil
 }
 
-// runSaturate serves one open-loop stream — or, with ramp, sweeps offered
+// runSaturate serves one open-loop stream — or, with -ramp, sweeps offered
 // RPS up a linear ramp until the overload detector fires — and prints the
 // saturation report.
-func runSaturate(board, policy string, slots, jobs int, bw, budget float64, seed int64,
-	stage bool, rps float64, arrival, admit string, ramp bool, tele telemetryFlags) error {
-	meter := tele.meter() // nil on a ramp: tele.validate rejected the combination
-	cfg := rcsched.Config{
-		Board:    board,
-		Slots:    slots,
-		Policy:   policy,
-		ConfigBW: bw,
-		Stage:    stage,
-		Admit:    admit,
-		Meter:    meter,
-	}
-	spec := traffic.Spec{Process: arrival, RPS: rps}
-
-	if ramp {
-		// Sweep from a quarter of the target rate up to three times it.
-		res, err := traffic.FindKnee(cfg, spec, traffic.RampSpec{
-			StartRPS: rps / 4,
-			StepRPS:  rps / 4,
-			Steps:    12,
-			Jobs:     jobs,
-			Seed:     seed,
-		})
+func runSaturate(o *options) error {
+	meter := o.tele.meter() // nil on a ramp: tele.validate rejected the combination
+	cfg := o.boardConfig(meter)
+	if o.ramp {
+		res, err := traffic.FindKnee(cfg, o.spec(), o.rampSpec())
 		if err != nil {
 			return err
 		}
-		fmt.Printf("mode        saturate ramp (%s arrivals, %d jobs per step, seed %d)\n", arrival, jobs, seed)
-		fmt.Printf("board       %s\n", board)
-		fmt.Printf("policy      %s (%d slots, admission %s)\n", policy, slots, admit)
-		fmt.Printf("detector    >%.0f%% of any %d consecutive jobs failing\n",
-			100*traffic.DefaultThreshold, traffic.DefaultWindow)
-		fmt.Println("ramp        target | offered | achieved | goodput RPS | shed | miss | p99 ms")
-		for _, p := range res.Points {
-			over := ""
-			if p.Overloaded {
-				over = "  <- overloaded"
-			}
-			fmt.Printf("  %10.0f | %7.0f | %8.0f | %11.0f | %.2f | %.2f | %7.3f%s\n",
-				p.RPS, p.OfferedRPS, p.AchievedRPS, p.GoodputRPS, p.ShedRate, p.MissRate,
-				p.P99LatencyPs/1e9, over)
-		}
-		if res.SaturationRPS == 0 {
-			fmt.Printf("knee        not reached: the board keeps up through %.0f jobs/s\n",
-				res.Points[len(res.Points)-1].RPS)
-			return nil
-		}
-		fmt.Printf("knee        %.0f jobs/s (saturates at %.0f)\n", res.KneeRPS, res.SaturationRPS)
+		fmt.Printf("mode        saturate ramp (%s arrivals, %d jobs per step, seed %d)\n", o.arrival, o.jobs, o.seed)
+		fmt.Printf("board       %s\n", o.board)
+		printRamp(o, res, "board", "")
 		return nil
 	}
-
-	stream, err := traffic.Stream(jobs, seed, spec)
+	stream, err := o.stream("saturate")
 	if err != nil {
 		return err
-	}
-	if budget == 0 {
-		for i := range stream {
-			stream[i].DeadlinePs = 0
-		}
-	} else if budget != rcsched.DefaultBudgetFactor {
-		rcsched.SetBudgets(stream, budget)
 	}
 	rep, err := rcsched.Serve(cfg, stream)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("mode        saturate (%s arrivals at %.0f jobs/s, %d jobs, seed %d, budget factor %g)\n",
-		arrival, rps, jobs, seed, budget)
+		o.arrival, o.rps, o.jobs, o.seed, o.budget)
 	fmt.Printf("board       %s\n", rep.Board)
-	fmt.Printf("policy      %s (%d slots, admission %s)\n", rep.Policy, rep.Slots, admit)
+	fmt.Printf("policy      %s (%d slots, admission %s)\n", rep.Policy, rep.Slots, o.admit)
 	fmt.Printf("offered     %.0f jobs/s measured\n", rep.OfferedRPS)
 	fmt.Printf("achieved    %.0f jobs/s (%d of %d completed)\n", rep.AchievedRPS, rep.Completed, len(rep.Jobs))
 	fmt.Printf("goodput     %.0f jobs/s met their deadline\n", rep.GoodputRPS)
@@ -748,97 +647,31 @@ func runSaturate(board, policy string, slots, jobs int, bw, budget float64, seed
 	fmt.Printf("deadlines   %d missed (miss rate %.2f over completed)\n", rep.Misses, rep.MissRate)
 	fmt.Printf("utilisation %.2f mean across slots\n", rep.UtilMean)
 	fmt.Println("jobs")
-	for _, j := range rep.Jobs {
-		switch j.Disposition {
-		case rcsched.Rejected:
-			fmt.Printf("  #%-3d %-7s %5d B  REJECTED at %7.3f ms (deadline %7.3f ms)\n",
-				j.ID, j.App, j.Size, j.DonePs/1e9, j.DeadlinePs/1e9)
-		case rcsched.Degraded:
-			fmt.Printf("  #%-3d %-7s %5d B  degraded: SW exec %7.3f  done %7.3f  dl %7.3f ms\n",
-				j.ID, j.App, j.Size, j.ExecPs/1e9, j.DonePs/1e9, j.DeadlinePs/1e9)
-		default:
-			slo := "met "
-			if j.Missed {
-				slo = fmt.Sprintf("LATE %+.2f", j.LatenessPs/1e9)
-			}
-			fmt.Printf("  #%-3d %-7s %5d B  slot %d  arrive %7.3f  wait %7.3f  exec %7.3f  done %7.3f  dl %7.3f ms %s\n",
-				j.ID, j.App, j.Size, j.Slot, j.ArrivalPs/1e9, j.QueueWaitPs/1e9, j.ExecPs/1e9,
-				j.DonePs/1e9, j.DeadlinePs/1e9, slo)
-		}
-	}
-	return tele.export(meter)
+	printJobs(rep.Jobs, nil)
+	return o.tele.export(meter)
 }
 
 // runFleet dispatches one open-loop stream across a pool of independent
-// boards — or, with ramp, sweeps offered RPS up a linear ramp until the
+// boards — or, with -ramp, sweeps offered RPS up a linear ramp until the
 // overload detector fires on the merged fleet report — and prints the
 // fleet-wide aggregates, the per-board breakdown and the routed job log.
-func runFleet(board, policy, dispatch string, boards, slots, jobs int, bw, budget float64,
-	seed int64, stage bool, rps float64, arrival, admit string, ramp bool, tele telemetryFlags) error {
-	meter := tele.meter() // nil on a ramp: tele.validate rejected the combination
-	cfg := fleet.Config{
-		Boards:   boards,
-		Dispatch: dispatch,
-		Seed:     seed,
-		Board: rcsched.Config{
-			Board:    board,
-			Slots:    slots,
-			Policy:   policy,
-			ConfigBW: bw,
-			Stage:    stage,
-			Admit:    admit,
-		},
-		Meter: meter,
-	}
-	spec := traffic.Spec{Process: arrival, RPS: rps}
-
-	if ramp {
-		// Sweep from a quarter of the target rate up to three times it.
-		res, err := fleet.FindKnee(cfg, spec, traffic.RampSpec{
-			StartRPS: rps / 4,
-			StepRPS:  rps / 4,
-			Steps:    12,
-			Jobs:     jobs,
-			Seed:     seed,
-		})
+func runFleet(o *options) error {
+	meter := o.tele.meter() // nil on a ramp: tele.validate rejected the combination
+	cfg := o.fleetConfig(meter)
+	if o.ramp {
+		res, err := fleet.FindKnee(cfg, o.spec(), o.rampSpec())
 		if err != nil {
 			return err
 		}
 		fmt.Printf("mode        fleet ramp (%d boards, %s dispatch, %s arrivals, %d jobs per step, seed %d)\n",
-			boards, dispatch, arrival, jobs, seed)
-		fmt.Printf("board       %s x%d\n", board, boards)
-		fmt.Printf("policy      %s (%d slots, admission %s)\n", policy, slots, admit)
-		fmt.Printf("detector    >%.0f%% of any %d consecutive jobs failing, window over the merged arrival order\n",
-			100*traffic.DefaultThreshold, traffic.DefaultWindow)
-		fmt.Println("ramp        target | offered | achieved | goodput RPS | shed | miss | p99 ms")
-		for _, p := range res.Points {
-			over := ""
-			if p.Overloaded {
-				over = "  <- overloaded"
-			}
-			fmt.Printf("  %10.0f | %7.0f | %8.0f | %11.0f | %.2f | %.2f | %7.3f%s\n",
-				p.RPS, p.OfferedRPS, p.AchievedRPS, p.GoodputRPS, p.ShedRate, p.MissRate,
-				p.P99LatencyPs/1e9, over)
-		}
-		if res.SaturationRPS == 0 {
-			fmt.Printf("knee        not reached: the fleet keeps up through %.0f jobs/s\n",
-				res.Points[len(res.Points)-1].RPS)
-			return nil
-		}
-		fmt.Printf("knee        %.0f jobs/s (saturates at %.0f)\n", res.KneeRPS, res.SaturationRPS)
+			o.boards, o.dispatch, o.arrival, o.jobs, o.seed)
+		fmt.Printf("board       %s x%d\n", o.board, o.boards)
+		printRamp(o, res, "fleet", ", window over the merged arrival order")
 		return nil
 	}
-
-	stream, err := traffic.Stream(jobs, seed, spec)
+	stream, err := o.stream("fleet")
 	if err != nil {
 		return err
-	}
-	if budget == 0 {
-		for i := range stream {
-			stream[i].DeadlinePs = 0
-		}
-	} else if budget != rcsched.DefaultBudgetFactor {
-		rcsched.SetBudgets(stream, budget)
 	}
 	rep, err := fleet.Run(cfg, stream)
 	if err != nil {
@@ -849,10 +682,10 @@ func runFleet(board, policy, dispatch string, boards, slots, jobs int, bw, budge
 		boardOf[d.Job] = d.Board
 	}
 	fmt.Printf("mode        fleet (%s arrivals at %.0f jobs/s, %d jobs, seed %d, budget factor %g)\n",
-		arrival, rps, jobs, seed, budget)
-	fmt.Printf("board       %s x%d (%d slots each)\n", board, boards, slots)
+		o.arrival, o.rps, o.jobs, o.seed, o.budget)
+	fmt.Printf("board       %s x%d (%d slots each)\n", o.board, o.boards, o.slots)
 	fmt.Printf("dispatch    %s\n", rep.Dispatch)
-	fmt.Printf("policy      %s (admission %s)\n", policy, admit)
+	fmt.Printf("policy      %s (admission %s)\n", cfg.Board.Policy, o.admit)
 	fmt.Printf("offered     %.0f jobs/s measured\n", rep.OfferedRPS)
 	fmt.Printf("achieved    %.0f jobs/s (%d of %d completed)\n", rep.AchievedRPS, rep.Completed, len(rep.Jobs))
 	fmt.Printf("goodput     %.0f jobs/s met their deadline\n", rep.GoodputRPS)
@@ -870,25 +703,63 @@ func runFleet(board, policy, dispatch string, boards, slots, jobs int, bw, budge
 			b, len(br.Jobs), br.Reconfigs, br.TotalReconfigPs/1e9, br.Misses, br.GoodputRPS)
 	}
 	fmt.Println("jobs        (merged arrival order)")
-	for _, j := range rep.Jobs {
+	printJobs(rep.Jobs, boardOf)
+	return o.tele.export(meter)
+}
+
+// printRamp prints a saturate or fleet ramp sweep: the detector, one line
+// per step, and the knee. unit names what kept up when no step overloaded.
+func printRamp(o *options, res *traffic.Ramp, unit, window string) {
+	fmt.Printf("policy      %s (%d slots, admission %s)\n", o.boardConfig(nil).Policy, o.slots, o.admit)
+	fmt.Printf("detector    >%.0f%% of any %d consecutive jobs failing%s\n",
+		100*traffic.DefaultThreshold, traffic.DefaultWindow, window)
+	fmt.Println("ramp        target | offered | achieved | goodput RPS | shed | miss | p99 ms")
+	for _, p := range res.Points {
+		over := ""
+		if p.Overloaded {
+			over = "  <- overloaded"
+		}
+		fmt.Printf("  %10.0f | %7.0f | %8.0f | %11.0f | %.2f | %.2f | %7.3f%s\n",
+			p.RPS, p.OfferedRPS, p.AchievedRPS, p.GoodputRPS, p.ShedRate, p.MissRate,
+			p.P99LatencyPs/1e9, over)
+	}
+	if res.SaturationRPS == 0 {
+		fmt.Printf("knee        not reached: the %s keeps up through %.0f jobs/s\n",
+			unit, res.Points[len(res.Points)-1].RPS)
+		return
+	}
+	fmt.Printf("knee        %.0f jobs/s (saturates at %.0f)\n", res.KneeRPS, res.SaturationRPS)
+}
+
+// printJobs prints an open-loop job log. A fleet log (boardOf non-nil)
+// places every job on its board; a single-board log places served jobs on
+// their slot.
+func printJobs(jobs []rcsched.JobReport, boardOf map[int]int) {
+	for _, j := range jobs {
+		at := ""
+		if boardOf != nil {
+			at = fmt.Sprintf("board %-2d ", boardOf[j.ID])
+		}
 		switch j.Disposition {
 		case rcsched.Rejected:
-			fmt.Printf("  #%-3d %-7s %5d B  board %-2d REJECTED at %7.3f ms (deadline %7.3f ms)\n",
-				j.ID, j.App, j.Size, boardOf[j.ID], j.DonePs/1e9, j.DeadlinePs/1e9)
+			fmt.Printf("  #%-3d %-7s %5d B  %sREJECTED at %7.3f ms (deadline %7.3f ms)\n",
+				j.ID, j.App, j.Size, at, j.DonePs/1e9, j.DeadlinePs/1e9)
 		case rcsched.Degraded:
-			fmt.Printf("  #%-3d %-7s %5d B  board %-2d degraded: SW exec %7.3f  done %7.3f  dl %7.3f ms\n",
-				j.ID, j.App, j.Size, boardOf[j.ID], j.ExecPs/1e9, j.DonePs/1e9, j.DeadlinePs/1e9)
+			fmt.Printf("  #%-3d %-7s %5d B  %sdegraded: SW exec %7.3f  done %7.3f  dl %7.3f ms\n",
+				j.ID, j.App, j.Size, at, j.ExecPs/1e9, j.DonePs/1e9, j.DeadlinePs/1e9)
 		default:
+			if boardOf == nil {
+				at = fmt.Sprintf("slot %d  ", j.Slot)
+			}
 			slo := "met "
 			if j.Missed {
 				slo = fmt.Sprintf("LATE %+.2f", j.LatenessPs/1e9)
 			}
-			fmt.Printf("  #%-3d %-7s %5d B  board %-2d arrive %7.3f  wait %7.3f  exec %7.3f  done %7.3f  dl %7.3f ms %s\n",
-				j.ID, j.App, j.Size, boardOf[j.ID], j.ArrivalPs/1e9, j.QueueWaitPs/1e9, j.ExecPs/1e9,
+			fmt.Printf("  #%-3d %-7s %5d B  %sarrive %7.3f  wait %7.3f  exec %7.3f  done %7.3f  dl %7.3f ms %s\n",
+				j.ID, j.App, j.Size, at, j.ArrivalPs/1e9, j.QueueWaitPs/1e9, j.ExecPs/1e9,
 				j.DonePs/1e9, j.DeadlinePs/1e9, slo)
 		}
 	}
-	return tele.export(meter)
 }
 
 // validateRecord checks the record-mode flag combination before any
@@ -938,91 +809,42 @@ func validateReplay(scenarioPath, match, format string) error {
 	return nil
 }
 
-// recordStream rebuilds exactly the job stream the recorded mode would
-// serve: the closed-form trace for serve, the open-loop arrival process
-// for saturate and fleet (with the same budget-factor handling).
-func recordStream(as string, jobs int, gapMs, budget float64, seed int64,
-	rps float64, arrival string) ([]rcsched.Job, error) {
-	if as == "serve" {
-		if budget <= 0 {
-			return nil, fmt.Errorf("service-level budget factor must be positive, got %g", budget)
-		}
-		stream, err := rcsched.Trace(jobs, seed, gapMs*1e9)
-		if err != nil {
-			return nil, err
-		}
-		rcsched.SetBudgets(stream, budget)
-		return stream, nil
-	}
-	stream, err := traffic.Stream(jobs, seed, traffic.Spec{Process: arrival, RPS: rps})
-	if err != nil {
-		return nil, err
-	}
-	if budget == 0 {
-		for i := range stream {
-			stream[i].DeadlinePs = 0
-		}
-	} else if budget != rcsched.DefaultBudgetFactor {
-		rcsched.SetBudgets(stream, budget)
-	}
-	return stream, nil
-}
-
-// runRecord executes the selected serving run with recording attached and
-// writes the scenario file. The scenario's name is the file's base name;
-// its description is the reconstructed command line, so a corpus stays
+// runRecord executes the -as mode's run with recording attached, built by
+// the same config and stream builders that mode uses, and writes the
+// scenario file. The scenario's name is the file's base name; its
+// description is the reconstructed command line, so a corpus stays
 // greppable for how each pinned run was produced.
-func runRecord(path, as, board, policy, dispatch string, boards, slots, jobs int,
-	bw, gapMs, budget float64, seed int64, stage bool,
-	rps float64, arrival, admit string, match scenario.Match, tele telemetryFlags) error {
-	stream, err := recordStream(as, jobs, gapMs, budget, seed, rps, arrival)
+func runRecord(o *options) error {
+	stream, err := o.stream(o.as)
 	if err != nil {
 		return err
 	}
-	meter := tele.meter()
-	name := strings.TrimSuffix(filepath.Base(path), ".json")
+	meter := o.tele.meter()
+	cfg := o.boardConfig(meter)
+	name := strings.TrimSuffix(filepath.Base(o.scenario), ".json")
 	desc := fmt.Sprintf("vimsim -mode record -as %s -scenario %s -board %s -policy %s -slots %d -jobs %d -seed %d",
-		as, filepath.Base(path), board, policy, slots, jobs, seed)
-	if bw != 0 {
-		desc += fmt.Sprintf(" -bw %g", bw)
+		o.as, filepath.Base(o.scenario), o.board, cfg.Policy, o.slots, o.jobs, o.seed)
+	if o.bw != 0 {
+		desc += fmt.Sprintf(" -bw %g", o.bw)
 	}
-	if stage {
+	if o.stage {
 		desc += " -stage"
 	}
-	if budget != rcsched.DefaultBudgetFactor {
-		desc += fmt.Sprintf(" -budget %g", budget)
+	if o.budget != rcsched.DefaultBudgetFactor {
+		desc += fmt.Sprintf(" -budget %g", o.budget)
 	}
-	boardCfg := rcsched.Config{
-		Board:    board,
-		Slots:    slots,
-		Policy:   policy,
-		ConfigBW: bw,
-		Stage:    stage,
+	if o.as == "serve" {
+		desc += fmt.Sprintf(" -gap %g", o.gap)
+	} else {
+		desc += fmt.Sprintf(" -arrival %s -rps %g -admit %s", o.arrival, o.rps, o.admit)
 	}
+	match := scenario.Match{Mode: o.match, Tolerance: o.tolerance}
 	var sc *scenario.Scenario
-	switch as {
-	case "serve":
-		desc += fmt.Sprintf(" -gap %g", gapMs)
-		boardCfg.Meter = meter
-		sc, err = scenario.RecordServe(name, desc, boardCfg, stream, match)
-	case "saturate":
-		desc += fmt.Sprintf(" -arrival %s -rps %g -admit %s", arrival, rps, admit)
-		boardCfg.Admit = admit
-		boardCfg.Meter = meter
-		sc, err = scenario.RecordServe(name, desc, boardCfg, stream, match)
-	case "fleet":
-		desc += fmt.Sprintf(" -arrival %s -rps %g -admit %s -boards %d -dispatch %s",
-			arrival, rps, admit, boards, dispatch)
-		boardCfg.Admit = admit
-		sc, err = scenario.RecordFleet(name, desc, fleet.Config{
-			Boards:   boards,
-			Dispatch: dispatch,
-			Seed:     seed,
-			Board:    boardCfg,
-			Meter:    meter,
-		}, stream, match)
-	default:
-		return fmt.Errorf("record: unknown -as %q", as)
+	if o.as == "fleet" {
+		desc += fmt.Sprintf(" -boards %d -dispatch %s", o.boards, o.dispatch)
+		sc, err = scenario.RecordFleet(name, desc, o.fleetConfig(meter), stream, match)
+	} else {
+		sc, err = scenario.RecordServe(name, desc, cfg, stream, match)
 	}
 	if err != nil {
 		return err
@@ -1031,7 +853,7 @@ func runRecord(path, as, board, policy, dispatch string, boards, slots, jobs int
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(o.scenario, data, 0o644); err != nil {
 		return err
 	}
 	steps := len(sc.Expect.Events) + len(sc.Expect.Decisions)
@@ -1042,12 +864,22 @@ func runRecord(path, as, board, policy, dispatch string, boards, slots, jobs int
 	if matching == "" {
 		matching = scenario.Strict
 	}
-	fmt.Printf("mode        record (-as %s)\n", as)
-	fmt.Printf("scenario    %s (%s, %s matching)\n", path, sc.Kind, matching)
+	fmt.Printf("mode        record (-as %s)\n", o.as)
+	fmt.Printf("scenario    %s (%s, %s matching)\n", o.scenario, sc.Kind, matching)
 	fmt.Printf("jobs        %d pinned (%d decision steps)\n", len(sc.Jobs), steps)
 	fmt.Printf("makespan    %.3f ms\n", sc.Expect.Aggregate.MakespanPs/1e9)
-	fmt.Printf("replay      vimsim -mode replay -scenario %s\n", path)
-	return tele.export(meter)
+	fmt.Printf("replay      vimsim -mode replay -scenario %s\n", o.scenario)
+	return o.tele.export(meter)
+}
+
+// runReplayMode replays -scenario; a scenario that fails to reproduce
+// exits 1 after the report.
+func runReplayMode(o *options) error {
+	ok, err := runReplay(o.scenario, o.match, o.format, o.junit, o.tele)
+	if err == nil && !ok {
+		return exitCode(1)
+	}
+	return err
 }
 
 // runReplay replays one scenario file — or every *.json under a directory,
@@ -1108,6 +940,10 @@ func runReplay(path, match, format, junitOut string, tele telemetryFlags) (bool,
 		}
 		results = append(results, res)
 	}
+	junit, err := scenario.FormatJUnit("vimsim-scenarios", results)
+	if err != nil {
+		return false, err
+	}
 	switch format {
 	case "json":
 		data, err := scenario.FormatJSON(results)
@@ -1116,20 +952,12 @@ func runReplay(path, match, format, junitOut string, tele telemetryFlags) (bool,
 		}
 		os.Stdout.Write(data)
 	case "junit":
-		data, err := scenario.FormatJUnit("vimsim-scenarios", results)
-		if err != nil {
-			return false, err
-		}
-		os.Stdout.Write(data)
+		os.Stdout.Write(junit)
 	default:
 		fmt.Print(scenario.FormatText(results))
 	}
 	if junitOut != "" {
-		data, err := scenario.FormatJUnit("vimsim-scenarios", results)
-		if err != nil {
-			return false, err
-		}
-		if err := os.WriteFile(junitOut, data, 0o644); err != nil {
+		if err := os.WriteFile(junitOut, junit, 0o644); err != nil {
 			return false, err
 		}
 	}
@@ -1141,75 +969,44 @@ func runReplay(path, match, format, junitOut string, tele telemetryFlags) (bool,
 	return true, nil
 }
 
-func runBaseline(cfg repro.Config, app, mode string, size int, seed int64) (*core.Report, error) {
-	spec, ok := platform.SpecByName(cfg.Board)
+// runBaseline runs -app on seeded random input on the no-OS baseline:
+// single-shot (normal mode) or hand-chunked (chunked mode).
+func runBaseline(o *options) (*core.Report, error) {
+	spec, ok := platform.SpecByName(o.board)
 	if !ok {
-		return nil, fmt.Errorf("unknown board %q", cfg.Board)
+		return nil, fmt.Errorf("unknown board %q", o.board)
 	}
-	rng := rand.New(rand.NewSource(seed))
-	switch app {
+	rng := rand.New(rand.NewSource(o.seed))
+	size := o.size
+	var (
+		bitstream []byte
+		items     int
+		streams   []*baseline.Stream
+		params    baseline.ParamsFunc
+	)
+	switch o.app {
 	case "idea":
-		size = size &^ 7
+		size &^= 7
 		var key ref.IDEAKey
 		rng.Read(key[:])
 		in := make([]byte, size)
 		rng.Read(in)
-		r, err := baseline.NewRunner(spec, repro.IDEABitstream(spec.Name))
-		if err != nil {
-			return nil, err
-		}
-		if mode == "normal" {
-			return r.RunSingleShot(size/8, ideautil.Streams(in), ideautil.Params(key))
-		}
-		return r.RunChunked(size/8, ideautil.Streams(in), ideautil.Params(key))
+		bitstream, items, streams, params = repro.IDEABitstream(spec.Name), size/8, ideautil.Streams(in), ideautil.Params(key)
 	case "adpcm":
 		in := make([]byte, size)
 		rng.Read(in)
-		r, err := baseline.NewRunner(spec, repro.ADPCMBitstream(spec.Name))
-		if err != nil {
-			return nil, err
-		}
-		if mode == "normal" {
-			return r.RunSingleShot(size, ideautil.ADPCMStreams(in), ideautil.ADPCMParams())
-		}
-		return r.RunChunked(size, ideautil.ADPCMStreams(in), ideautil.ADPCMParams())
+		bitstream, items, streams, params = repro.ADPCMBitstream(spec.Name), size, ideautil.ADPCMStreams(in), ideautil.ADPCMParams()
 	default:
-		return nil, fmt.Errorf("baseline modes support idea and adpcm, not %q", app)
+		return nil, fmt.Errorf("baseline modes support idea and adpcm, not %q", o.app)
 	}
-}
-
-// vcdOut is the -vcd flag value; armTrace installs a recorder when set and
-// registers the deferred writer.
-var (
-	vcdOut string
-	vcdRec *trace.Recorder
-)
-
-func armTrace(p *repro.Process) error {
-	if vcdOut == "" {
-		return nil
-	}
-	rec, err := p.Session().TraceSession()
+	r, err := baseline.NewRunner(spec, bitstream)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	vcdRec = rec
-	return nil
-}
-
-func flushTrace() {
-	if vcdOut == "" || vcdRec == nil {
-		return
+	if o.mode == "normal" {
+		return r.RunSingleShot(items, streams, params)
 	}
-	f, err := os.Create(vcdOut)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := core.WriteVCD(f, vcdRec); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("waveform     %s\n", vcdOut)
+	return r.RunChunked(items, streams, params)
 }
 
 func printReport(r *core.Report) {
