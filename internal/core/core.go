@@ -14,7 +14,9 @@
 // loaded coprocessors concurrently behind one multi-session manager: every
 // member owns a VIM session and an IMU channel, faults and completions are
 // serviced per channel from one interruptible sleep, and the MultiReport
-// splits the shared timeline into per-session shares.
+// splits the shared timeline into per-session shares. There is one
+// FPGA_EXECUTE loop (execute): a Session runs it as a one-member gang whose
+// session owns the whole page pool on channel 0.
 package core
 
 import (
@@ -44,32 +46,34 @@ const DefaultBudget = int64(200_000_000)
 // bit-stream load time.
 const ConfigClockHz = 10_000_000
 
-// Session executes applications through the virtual interface.
+// Session executes applications through the virtual interface: the
+// paper's single-tenant shape, whose one VIM session owns the whole page
+// pool on IMU channel 0.
 type Session struct {
 	Board *platform.Board
 	Proc  *kernel.Process
-	VIM   *vim.Manager
 	HW    *platform.HW
 
+	vs       *vim.Session
 	header   bitstream.Header
 	loaded   bool
 	configPs float64
-	budget   int64
 }
 
 // NewSession creates a session for proc on board with the given VIM
 // configuration.
 func NewSession(board *platform.Board, proc *kernel.Process, vimCfg vim.Config) (*Session, error) {
-	m, err := vim.New(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
-		board.DP.PageSize(), vimCfg)
+	m, err := vim.NewManager(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
+		board.DP.PageSize(), vim.StaticPartition)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{Board: board, Proc: proc, VIM: m, budget: DefaultBudget}, nil
+	vs, err := m.AddSession(vimCfg, board.DP.Pages())
+	if err != nil {
+		return nil, err
+	}
+	return &Session{Board: board, Proc: proc, vs: vs}, nil
 }
-
-// SetBudget overrides the per-execution simulation budget.
-func (s *Session) SetBudget(edges int64) { s.budget = edges }
 
 // Load implements FPGA_LOAD: it validates the bit-stream, instantiates the
 // registered coprocessor model ("configures the PLD"), assembles the clock
@@ -114,13 +118,13 @@ func (s *Session) Load(img []byte) error {
 func (s *Session) Unload() {
 	s.loaded = false
 	s.HW = nil
-	s.VIM.UnmapAll()
+	s.vs.UnmapAll()
 }
 
 // MapObject implements FPGA_MAP_OBJECT.
 func (s *Session) MapObject(id uint8, base, size uint32, dir vim.Direction) error {
 	s.Board.Kern.ChargeSyscall()
-	return s.VIM.MapObject(id, base, size, dir)
+	return s.vs.MapObject(id, base, size, dir)
 }
 
 // Report aggregates one execution's measurements.
@@ -161,89 +165,34 @@ func (r *Report) TotalMs() float64 { return r.TotalPs() / 1e9 }
 // SWPs is the total operating-system time of the run.
 func (r *Report) SWPs() float64 { return r.SWDPPs + r.SWIMUPs + r.SWOSPs }
 
-// Execute implements FPGA_EXECUTE: initial mapping and parameter passing,
-// coprocessor start, interruptible sleep with fault service, and end-of-
-// operation flush. It returns the measured report.
+// Execute implements FPGA_EXECUTE as the one-member case of the shared
+// execute loop: initial mapping and parameter passing, coprocessor start,
+// interruptible sleep with fault service, and end-of-operation flush. It
+// returns the measured report.
 func (s *Session) Execute(params ...uint32) (*Report, error) {
 	if !s.loaded {
 		return nil, ErrNoBitstream
 	}
-	k := s.Board.Kern
-	tl := k.TL
-	tl.Reset()
-	s.VIM.ResetCounters()
-	s.Board.IMU.ResetCounters()
-
-	k.ChargeSyscall()
-	if err := s.VIM.PrepareExecute(params); err != nil {
+	mb := &Member{Sess: s.vs, Params: params, header: s.header}
+	hwCy, err := execute(s.Board, s.vs.Manager(), s.HW.Eng, s.HW.IMUDom,
+		[]*copro.Port{s.HW.Port}, []*Member{mb})
+	if err != nil {
 		return nil, err
 	}
-	s.Board.IMU.Start()
-
-	eng := s.HW.Eng
-	imuDom := s.HW.IMUDom
-	startCy := imuDom.Cycles()
-	hwPs := 0.0
-	budget := s.budget
-	// The interruptible sleep polls the IRQ line through the engine's
-	// flag-based loop: edge-exact (the cycle counters feed the measured
-	// components) but free of the per-edge closure call of RunUntil.
-	irq := s.Board.IMU.IRQRef()
-	for {
-		before := eng.NowPs()
-		n, err := eng.RunUntilFlag(irq, budget)
-		hwPs += eng.NowPs() - before
-		budget -= n
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBudget, err)
-		}
-		if s.Board.IMU.DonePending() {
-			if err := s.VIM.Finish(); err != nil {
-				return nil, err
-			}
-			s.Board.IMU.AckDone()
-			// Drain until the core has observed CP_START falling and
-			// dropped CP_FIN, so a later FPGA_EXECUTE starts clean even
-			// with a slow coprocessor clock domain.
-			before = eng.NowPs()
-			if _, err := eng.RunUntil(func() bool {
-				return !s.HW.Port.CP().Fin && !s.Board.IMU.IRQ()
-			}, 256); err != nil {
-				return nil, fmt.Errorf("core: completion handshake did not drain: %v", err)
-			}
-			hwPs += eng.NowPs() - before
-			break
-		}
-		if s.Board.IMU.FaultPending() {
-			if err := s.VIM.HandleFault(); err != nil {
-				return nil, err
-			}
-			// Let the restart propagate before re-checking the IRQ
-			// line (the request is consumed at the next edge).
-			before = eng.NowPs()
-			eng.Step()
-			eng.Step()
-			hwPs += eng.NowPs() - before
-			budget -= 2
-			continue
-		}
-		return nil, fmt.Errorf("core: IRQ with neither fault nor completion pending (SR=%#x)", s.Board.IMU.SR())
-	}
-	tl.Add(stats.HW, hwPs)
-
+	tl := s.Board.Kern.TL
 	return &Report{
 		App:      s.header.Core,
 		Board:    s.Board.Spec.Name,
-		Policy:   s.VIM.Config().Policy.Name(),
+		Policy:   s.vs.Config().Policy.Name(),
 		IMUMode:  s.Board.IMU.Config().Mode.String(),
 		HWPs:     tl.Ps(stats.HW),
 		SWDPPs:   tl.Ps(stats.SWDP),
 		SWIMUPs:  tl.Ps(stats.SWIMU),
 		SWOSPs:   tl.Ps(stats.SWOS),
 		ConfigPs: s.configPs,
-		VIM:      s.VIM.Count,
+		VIM:      s.vs.Manager().Count,
 		IMU:      s.Board.IMU.Count,
-		HWCy:     imuDom.Cycles() - startCy,
+		HWCy:     hwCy,
 	}, nil
 }
 

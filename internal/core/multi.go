@@ -70,8 +70,6 @@ type Gang struct {
 	// bySlot is the shell-mode roster: the member currently occupying each
 	// slot (nil when the slot is free or reconfiguring).
 	bySlot []*Member
-
-	budget int64
 }
 
 // NewGang creates an empty gang over board with the given inter-session
@@ -82,11 +80,8 @@ func NewGang(board *platform.Board, arb vim.Arbitration) (*Gang, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Gang{Board: board, M: m, budget: DefaultBudget}, nil
+	return &Gang{Board: board, M: m}, nil
 }
-
-// SetBudget overrides the per-ExecuteAll simulation budget.
-func (g *Gang) SetBudget(edges int64) { g.budget = edges }
 
 // AddMember validates the bit-stream, instantiates the coprocessor model,
 // and carves nframes of the page pool into the new member's home
@@ -228,31 +223,32 @@ func (r *MultiReport) Report() *Report {
 // demand-paging service. It reports whether anything was serviced and which
 // members finished this pass. The roster order is the deterministic service
 // order; nil entries (free shell slots) are skipped.
-func (g *Gang) servicePass(roster []*Member, eng *sim.Engine) (serviced bool, finished []*Member, err error) {
+func servicePass(board *platform.Board, roster []*Member, eng *sim.Engine) (serviced bool, finished []*Member, err error) {
+	u, tl := board.IMU, board.Kern.TL
 	for _, mb := range roster {
 		if mb == nil || mb.done {
 			continue
 		}
 		ch := mb.Sess.ID()
-		if g.Board.IMU.DonePendingCh(ch) {
-			sw := g.swSnap()
+		if u.DonePendingCh(ch) {
+			sw := swSnap(tl)
 			if err := mb.Sess.Finish(); err != nil {
 				return false, nil, err
 			}
-			mb.addSW(g.swSnap(), sw)
-			g.Board.IMU.AckDoneCh(ch)
+			mb.addSW(swSnap(tl), sw)
+			u.AckDoneCh(ch)
 			mb.done = true
 			mb.donePs = eng.NowPs()
 			finished = append(finished, mb)
 			serviced = true
 			continue
 		}
-		if g.Board.IMU.FaultPendingCh(ch) {
-			sw := g.swSnap()
+		if u.FaultPendingCh(ch) {
+			sw := swSnap(tl)
 			if err := mb.Sess.HandleFault(); err != nil {
 				return false, nil, fmt.Errorf("core: session %d (%s): %w", ch, mb.header.Core, err)
 			}
-			mb.addSW(g.swSnap(), sw)
+			mb.addSW(swSnap(tl), sw)
 			serviced = true
 		}
 	}
@@ -261,8 +257,7 @@ func (g *Gang) servicePass(roster []*Member, eng *sim.Engine) (serviced bool, fi
 
 // swSnap samples the three software components of the shared timeline so
 // per-member deltas can be attributed around each service call.
-func (g *Gang) swSnap() [3]float64 {
-	tl := g.Board.Kern.TL
+func swSnap(tl *stats.Timeline) [3]float64 {
 	return [3]float64{tl.Ps(stats.SWDP), tl.Ps(stats.SWIMU), tl.Ps(stats.SWOS)}
 }
 
@@ -272,65 +267,71 @@ func (mb *Member) addSW(after, before [3]float64) {
 	mb.swOS += after[2] - before[2]
 }
 
-// ExecuteAll implements FPGA_EXECUTE for every member at once: parameter
-// passing and initial mapping per session, concurrent launch, interruptible
-// sleep with per-channel fault service, and per-session end-of-operation
-// flush as each coprocessor completes. It returns when the last member is
-// done.
+// launch is the FPGA_EXECUTE entry for one member: syscall charge,
+// parameter page and initial mapping on its session, and CP_START on its
+// channel. The engine is not run.
+func launch(board *platform.Board, mb *Member) error {
+	board.Kern.ChargeSyscall()
+	before := swSnap(board.Kern.TL)
+	if err := mb.Sess.PrepareExecute(mb.Params); err != nil {
+		return err
+	}
+	mb.addSW(swSnap(board.Kern.TL), before)
+	mb.done = false
+	mb.donePs = 0
+	board.IMU.StartCh(mb.Sess.ID())
+	return nil
+}
+
+// execute implements FPGA_EXECUTE for members that share one engine and the
+// board's IMU — a Session is the one-member case, a static Gang the N-member
+// one: launch every member, sleep until the IMU interrupt, service each
+// channel's fault or completion (end-of-operation flush), resume, and
+// return once the last member is done and the completion handshake has
+// drained. ports are the members' coprocessor ports. The time components
+// land on the kernel timeline (reset first, like m's and the IMU's
+// counters); execute returns the IMU-domain cycles consumed.
 //
 // Modelling note: the engine pauses while the OS services any channel, so
 // a fault on one session also stalls the others for the service duration —
 // the single-CPU system is serialised through the kernel exactly like the
 // real module, but hardware that could have kept running in parallel with
 // the CPU is not modelled (documented in docs/ARCHITECTURE.md).
-func (g *Gang) ExecuteAll() (*MultiReport, error) {
-	if g.HW == nil {
-		return nil, fmt.Errorf("core: ExecuteAll before Assemble")
-	}
-	k := g.Board.Kern
-	tl := k.TL
+func execute(board *platform.Board, m *vim.Manager, eng *sim.Engine, imuDom *sim.Domain,
+	ports []*copro.Port, members []*Member) (int64, error) {
+	tl := board.Kern.TL
 	tl.Reset()
-	g.M.ResetCounters()
-	g.Board.IMU.ResetCounters()
-	for _, mb := range g.Members {
-		mb.done = false
-		mb.donePs = 0
+	m.ResetCounters()
+	board.IMU.ResetCounters()
+	for _, mb := range members {
 		mb.swDP, mb.swIMU, mb.swOS = 0, 0, 0
-	}
-
-	// Launch: per-session syscall, parameter page, initial mapping, start.
-	for i, mb := range g.Members {
-		k.ChargeSyscall()
-		before := g.swSnap()
-		if err := mb.Sess.PrepareExecute(mb.Params); err != nil {
-			return nil, err
+		if err := launch(board, mb); err != nil {
+			return 0, err
 		}
-		mb.addSW(g.swSnap(), before)
-		g.Board.IMU.StartCh(i)
 	}
 
-	eng := g.HW.Eng
-	imuDom := g.HW.IMUDom
 	startCy := imuDom.Cycles()
 	hwPs := 0.0
-	budget := g.budget
-	irq := g.Board.IMU.IRQRef()
-	remaining := len(g.Members)
-	for remaining > 0 {
+	budget := DefaultBudget
+	// The interruptible sleep polls the IRQ line through the engine's
+	// flag-based loop: edge-exact (the cycle counters feed the measured
+	// components) but free of the per-edge closure call of RunUntil.
+	irq := board.IMU.IRQRef()
+	for remaining := len(members); remaining > 0; {
 		before := eng.NowPs()
 		n, err := eng.RunUntilFlag(irq, budget)
 		hwPs += eng.NowPs() - before
 		budget -= n
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBudget, err)
+			return 0, fmt.Errorf("%w: %v", ErrBudget, err)
 		}
-		serviced, finished, err := g.servicePass(g.Members, eng)
+		serviced, finished, err := servicePass(board, members, eng)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		remaining -= len(finished)
 		if !serviced {
-			return nil, fmt.Errorf("core: IRQ with no serviceable channel (SR0=%#x)", g.Board.IMU.SR())
+			return 0, fmt.Errorf("core: IRQ with no serviceable channel (SR0=%#x)", board.IMU.SR())
 		}
 		// Let restarts and acks propagate before re-checking the IRQ line
 		// (requests are consumed at the next edge).
@@ -341,25 +342,38 @@ func (g *Gang) ExecuteAll() (*MultiReport, error) {
 		budget -= 2
 	}
 	// Drain until every core has observed CP_START falling and dropped
-	// CP_FIN, so a later ExecuteAll starts clean even with slow core
+	// CP_FIN, so a later FPGA_EXECUTE starts clean even with slow core
 	// clock domains.
 	before := eng.NowPs()
 	if _, err := eng.RunUntil(func() bool {
-		if g.Board.IMU.IRQ() {
+		if board.IMU.IRQ() {
 			return false
 		}
-		for _, p := range g.HW.Ports {
+		for _, p := range ports {
 			if p.CP().Fin {
 				return false
 			}
 		}
 		return true
-	}, 256*int64(len(g.Members))); err != nil {
-		return nil, fmt.Errorf("core: completion handshake did not drain: %v", err)
+	}, 256*int64(len(members))); err != nil {
+		return 0, fmt.Errorf("core: completion handshake did not drain: %v", err)
 	}
 	hwPs += eng.NowPs() - before
 	tl.Add(stats.HW, hwPs)
+	return imuDom.Cycles() - startCy, nil
+}
 
+// ExecuteAll implements FPGA_EXECUTE for every member at once (see
+// execute) and splits the shared timeline into per-session shares.
+func (g *Gang) ExecuteAll() (*MultiReport, error) {
+	if g.HW == nil {
+		return nil, fmt.Errorf("core: ExecuteAll before Assemble")
+	}
+	hwCy, err := execute(g.Board, g.M, g.HW.Eng, g.HW.IMUDom, g.HW.Ports, g.Members)
+	if err != nil {
+		return nil, err
+	}
+	tl := g.Board.Kern.TL
 	rep := &MultiReport{
 		Board:   g.Board.Spec.Name,
 		Arb:     g.M.Arbitration().String(),
@@ -368,7 +382,7 @@ func (g *Gang) ExecuteAll() (*MultiReport, error) {
 		SWDPPs:  tl.Ps(stats.SWDP),
 		SWIMUPs: tl.Ps(stats.SWIMU),
 		SWOSPs:  tl.Ps(stats.SWOS),
-		HWCy:    imuDom.Cycles() - startCy,
+		HWCy:    hwCy,
 		VIM:     g.M.Count,
 		IMU:     g.Board.IMU.Count,
 	}
@@ -408,7 +422,6 @@ func NewShellGang(board *platform.Board, arb vim.Arbitration, shellHz int64, nsl
 		M:      m,
 		Shell:  shell,
 		bySlot: make([]*Member, nslots),
-		budget: DefaultBudget,
 	}, nil
 }
 
@@ -553,29 +566,16 @@ func (g *Gang) CancelStage(slot int) error {
 	return nil
 }
 
-// Launch implements the FPGA_EXECUTE entry for one shell-mode member:
-// syscall charge, parameter page and initial mapping on its session, and
-// CP_START on its channel. The engine is not run; the serving loop resumes
-// it.
-func (g *Gang) Launch(mb *Member) error {
-	g.Board.Kern.ChargeSyscall()
-	before := g.swSnap()
-	if err := mb.Sess.PrepareExecute(mb.Params); err != nil {
-		return err
-	}
-	mb.addSW(g.swSnap(), before)
-	mb.done = false
-	mb.donePs = 0
-	g.Board.IMU.StartCh(mb.Sess.ID())
-	return nil
-}
+// Launch implements the FPGA_EXECUTE entry for one shell-mode member (see
+// launch); the serving loop resumes the engine.
+func (g *Gang) Launch(mb *Member) error { return launch(g.Board, mb) }
 
 // ServicePending runs one service pass over the occupied slots, handling
 // every pending completion and translation fault, and returns the members
 // that finished. serviced is false when the pass found nothing to do (an
 // IRQ that was already consumed).
 func (g *Gang) ServicePending() (finished []*Member, serviced bool, err error) {
-	serviced, finished, err = g.servicePass(g.bySlot, g.Shell.Eng)
+	serviced, finished, err = servicePass(g.Board, g.bySlot, g.Shell.Eng)
 	return finished, serviced, err
 }
 

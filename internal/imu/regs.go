@@ -49,20 +49,11 @@ const (
 // SR returns channel 0's status register.
 func (u *IMU) SR() uint32 { return u.ch[0].sr }
 
-// SRCh returns channel i's status register.
-func (u *IMU) SRCh(i int) uint32 { return u.ch[i].sr }
-
-// AR returns channel 0's fault address register.
-func (u *IMU) AR() uint32 { return u.ch[0].ar }
-
 // ARCh returns channel i's fault address register.
 func (u *IMU) ARCh(i int) uint32 { return u.ch[i].ar }
 
 // IRQ reports whether the (shared) interrupt line is asserted.
 func (u *IMU) IRQ() bool { return u.irq }
-
-// IRQCh reports whether channel i is contributing to the interrupt line.
-func (u *IMU) IRQCh(i int) bool { return u.ch[i].irq }
 
 // IRQRef exposes the interrupt line for the engine's flag-polled run loop
 // (sim.Engine.RunUntilFlag). The line is the OR of the channel IRQs and is

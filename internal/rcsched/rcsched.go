@@ -84,9 +84,6 @@ type Config struct {
 	// FramesPerSlot sizes each session's home partition (0 = page pool
 	// divided evenly across slots).
 	FramesPerSlot int
-	// Budget bounds the whole run in simulation super-edges (0 = the
-	// core.DefaultBudget).
-	Budget int64
 	// Observer, when non-nil, receives shed/dispatch/finish events as the
 	// serving loop makes them. Observation is passive: a nil-Observer run
 	// is bit-identical to an observed one.
@@ -296,9 +293,6 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	if cfg.ConfigBW < 0 {
 		return nil, fmt.Errorf("rcsched: negative config-port bandwidth %g", cfg.ConfigBW)
 	}
-	if cfg.Budget == 0 {
-		cfg.Budget = core.DefaultBudget
-	}
 	policy, ok := NewPolicy(cfg.Policy)
 	if !ok {
 		return nil, fmt.Errorf("rcsched: unknown policy %q", cfg.Policy)
@@ -389,7 +383,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	queue := []int{} // indices into order, admission order
 	nextArrival := 0
 	completed := 0
-	budget := cfg.Budget
+	budget := core.DefaultBudget // bounds the whole run in super-edges
 	irq := board.IMU.IRQRef()
 
 	// Live gauges for the simulated-time sampler. The closures read loop

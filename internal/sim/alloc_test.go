@@ -21,33 +21,6 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestDoneCheckIntervalBatching verifies the batched polling semantics:
-// with an interval of k, done() is consulted every k super-edges, so a
-// condition that becomes true mid-batch is detected at the next boundary.
-func TestDoneCheckIntervalBatching(t *testing.T) {
-	e := NewEngine()
-	d := e.NewDomain("clk", 1000)
-	c := &counter{}
-	d.Attach(c)
-	e.SetDoneCheckInterval(4)
-	n, err := e.RunUntil(func() bool { return c.n.Get() >= 5 }, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The condition holds after edge 5; the next check is at edge 8.
-	if n != 8 {
-		t.Fatalf("edges = %d, want 8 (condition at 5, checked every 4)", n)
-	}
-	e.SetDoneCheckInterval(1)
-	n, err = e.RunUntil(func() bool { return c.n.Get() >= 9 }, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("edges = %d, want 1 (exact polling restored)", n)
-	}
-}
-
 // TestIdleSkipMatchesUnskipped verifies that disabling idle bulk-skip (via
 // RunCycles, which suspends it) and running edge by edge produces the same
 // cycle counts a skipped run does: the idle windows are jumped, never lost.

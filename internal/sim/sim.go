@@ -74,9 +74,6 @@
 // slice for the set of due domains (callers must not retain it across
 // steps), heap operations never allocate, and the flag-polled run loop
 // RunUntilFlag stops on a plain bool without any per-edge closure call.
-// RunUntil's done() polling can be batched with SetDoneCheckInterval for
-// callers that only need eventual detection; the default interval of 1
-// preserves edge-exact stopping, which metric-collecting callers rely on.
 package sim
 
 import (
@@ -352,8 +349,6 @@ type Engine struct {
 	planned bool
 	// fast selects the integer-ratio schedule over cross-multiplication.
 	fast bool
-	// doneEvery batches RunUntil's done() polling (0 or 1 = every edge).
-	doneEvery int64
 	// noSkip > 0 suspends idle bulk-skipping (RunCycles needs to hit its
 	// per-domain cycle target exactly, not jump past it).
 	noSkip int
@@ -428,19 +423,6 @@ func (e *Engine) Domains() []*Domain { return e.domains }
 // Fail aborts the current Run with err. It is intended to be called from a
 // Ticker when the model reaches an impossible state.
 func (e *Engine) Fail(err error) { e.stopErr = err }
-
-// SetDoneCheckInterval makes RunUntil consult done() only every k
-// super-edges (k <= 1 restores the default of every edge). Batching is only
-// sound when done() is monotonic within one run and the caller tolerates up
-// to k-1 extra edges being delivered after the condition becomes true;
-// callers that fold edge counts or cycle counters into measurements must
-// keep the exact default.
-func (e *Engine) SetDoneCheckInterval(k int64) {
-	if k < 1 {
-		k = 1
-	}
-	e.doneEvery = k
-}
 
 // plan rebuilds the scheduling plan: if every frequency divides the fastest
 // one, each domain gets its period in fastest-domain ticks and the absolute
@@ -659,30 +641,20 @@ func (e *Engine) lockstepStep() []*Domain {
 }
 
 // RunUntil advances the simulation until done() reports true (checked before
-// every super-edge by default; see SetDoneCheckInterval) or at least
-// maxEdges super-edges have been delivered, whichever comes first. It
-// returns the number of super-edges delivered (counting bulk-skipped idle
-// edges; the final count may exceed maxEdges by up to the domain clock
-// ratio when a skipped window spans the budget boundary) and ErrBudget if
-// the budget ran out, or the error passed to Fail.
+// every super-edge, so stopping is edge-exact) or at least maxEdges
+// super-edges have been delivered, whichever comes first. It returns the
+// number of super-edges delivered (counting bulk-skipped idle edges; the
+// final count may exceed maxEdges by up to the domain clock ratio when a
+// skipped window spans the budget boundary) and ErrBudget if the budget ran
+// out, or the error passed to Fail.
 func (e *Engine) RunUntil(done func() bool, maxEdges int64) (int64, error) {
 	e.stopErr = nil
-	every := e.doneEvery
-	if every < 1 {
-		every = 1
-	}
-	sinceCheck := every // poll before the first edge
 	n := int64(0)
 	for n < maxEdges {
-		if done != nil && sinceCheck >= every {
-			sinceCheck = 0
-			if done() {
-				return n, nil
-			}
+		if done != nil && done() {
+			return n, nil
 		}
-		k := e.step()
-		n += k
-		sinceCheck += k
+		n += e.step()
 		if e.stopErr != nil {
 			return n, e.stopErr
 		}
@@ -694,10 +666,10 @@ func (e *Engine) RunUntil(done func() bool, maxEdges int64) (int64, error) {
 }
 
 // RunUntilFlag advances the simulation until *stop is true (checked before
-// every super-edge, exactly as RunUntil with the default interval) or
-// maxEdges super-edges have been delivered. It is the allocation- and
-// closure-free variant of RunUntil for hot loops whose stop condition is a
-// single level-sensitive line, such as an interrupt request.
+// every super-edge, exactly as RunUntil) or maxEdges super-edges have been
+// delivered. It is the allocation- and closure-free variant of RunUntil for
+// hot loops whose stop condition is a single level-sensitive line, such as
+// an interrupt request.
 func (e *Engine) RunUntilFlag(stop *bool, maxEdges int64) (int64, error) {
 	e.stopErr = nil
 	n := int64(0)

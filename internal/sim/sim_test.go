@@ -112,6 +112,28 @@ func TestRunUntilStopsOnCondition(t *testing.T) {
 	}
 }
 
+// TestRunUntilPollsEveryEdge pins RunUntil's edge-exact polling: done() is
+// consulted before every super-edge, including the first, so a condition
+// that becomes true after edge k stops the run at exactly k edges.
+func TestRunUntilPollsEveryEdge(t *testing.T) {
+	e := NewEngine()
+	d := e.NewDomain("clk", 1000)
+	c := &counter{}
+	d.Attach(c)
+	for _, tc := range []struct {
+		until int
+		want  int64
+	}{{5, 5}, {9, 4}, {9, 0}, {10, 1}} {
+		n, err := e.RunUntil(func() bool { return c.n.Get() >= tc.until }, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != tc.want {
+			t.Fatalf("until %d: edges = %d, want %d", tc.until, n, tc.want)
+		}
+	}
+}
+
 func TestRunUntilBudget(t *testing.T) {
 	e := NewEngine()
 	d := e.NewDomain("clk", 10)

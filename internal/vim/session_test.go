@@ -69,20 +69,6 @@ func TestAddSessionPartitioning(t *testing.T) {
 	if _, err := m.AddSession(Config{}, 1); !errors.Is(err, ErrPartition) {
 		t.Fatalf("one-frame session accepted: %v", err)
 	}
-	// The single-session compatibility shims must error, not panic, on a
-	// manager that has no sessions yet.
-	if err := m.PrepareExecute(nil); !errors.Is(err, ErrPartition) {
-		t.Fatalf("PrepareExecute on a session-less manager: %v", err)
-	}
-	if err := m.HandleFault(); !errors.Is(err, ErrPartition) {
-		t.Fatalf("HandleFault on a session-less manager: %v", err)
-	}
-	if err := m.Finish(); !errors.Is(err, ErrPartition) {
-		t.Fatalf("Finish on a session-less manager: %v", err)
-	}
-	if objs := m.Objects(); objs != nil {
-		t.Fatalf("Objects on a session-less manager = %v", objs)
-	}
 	a, err := m.AddSession(Config{}, 5)
 	if err != nil {
 		t.Fatal(err)

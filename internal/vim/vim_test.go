@@ -11,46 +11,51 @@ import (
 	"repro/internal/platform"
 )
 
-// rig builds a board plus a manager for direct unit testing.
-func rig(t *testing.T, cfg Config) (*platform.Board, *Manager) {
+// rig builds a board plus a manager whose only session spans the whole
+// page pool (the paper's original module) for direct unit testing.
+func rig(t *testing.T, cfg Config) (*platform.Board, *Manager, *Session) {
 	t.Helper()
 	board, err := platform.NewBoard(platform.EPXA1())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
-		board.DP.PageSize(), cfg)
+	m, err := NewManager(board.Kern, board.IMU, platform.DPBase, platform.IMURegBase,
+		board.DP.PageSize(), StaticPartition)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return board, m
+	s, err := m.AddSession(cfg, board.DP.Pages())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return board, m, s
 }
 
 func TestMapObjectValidation(t *testing.T) {
-	_, m := rig(t, Config{})
-	if err := m.MapObject(copro.ParamObj, 0, 16, In); !errors.Is(err, ErrBadObject) {
+	_, _, s := rig(t, Config{})
+	if err := s.MapObject(copro.ParamObj, 0, 16, In); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("reserved id accepted: %v", err)
 	}
-	if err := m.MapObject(1, 0x1000, 0, In); !errors.Is(err, ErrBadObject) {
+	if err := s.MapObject(1, 0x1000, 0, In); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("zero size accepted: %v", err)
 	}
-	if err := m.MapObject(1, 0x1001, 16, In); !errors.Is(err, ErrBadObject) {
+	if err := s.MapObject(1, 0x1001, 16, In); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("unaligned base accepted: %v", err)
 	}
-	if err := m.MapObject(1, 0x1000, 16, In); err != nil {
+	if err := s.MapObject(1, 0x1000, 16, In); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MapObject(1, 0x2000, 16, In); !errors.Is(err, ErrBadObject) {
+	if err := s.MapObject(1, 0x2000, 16, In); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("duplicate id accepted: %v", err)
 	}
-	m.UnmapAll()
-	if err := m.MapObject(1, 0x2000, 16, In); err != nil {
+	s.UnmapAll()
+	if err := s.MapObject(1, 0x2000, 16, In); err != nil {
 		t.Fatalf("id not released by UnmapAll: %v", err)
 	}
 }
 
 func TestPrepareExecuteInitialMapping(t *testing.T) {
-	board, m := rig(t, Config{})
+	board, m, s := rig(t, Config{})
 	ps := int(m.PageSize())
 	// 2-page input, 2-page output: everything plus the parameter page
 	// fits the 8 frames.
@@ -63,13 +68,13 @@ func TestPrepareExecuteInitialMapping(t *testing.T) {
 	if err := board.Kern.WriteUser(inBase, data); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MapObject(0, inBase, uint32(2*ps), In); err != nil {
+	if err := s.MapObject(0, inBase, uint32(2*ps), In); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MapObject(1, outBase, uint32(2*ps), Out); err != nil {
+	if err := s.MapObject(1, outBase, uint32(2*ps), Out); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PrepareExecute([]uint32{0xabcd, 42}); err != nil {
+	if err := s.PrepareExecute([]uint32{0xabcd, 42}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -111,23 +116,23 @@ func TestPrepareExecuteInitialMapping(t *testing.T) {
 }
 
 func TestPrepareExecuteRejectsTooManyParams(t *testing.T) {
-	_, m := rig(t, Config{})
+	_, m, s := rig(t, Config{})
 	params := make([]uint32, int(m.PageSize()/4)+1)
-	if err := m.PrepareExecute(params); err == nil {
+	if err := s.PrepareExecute(params); err == nil {
 		t.Fatal("oversized parameter list accepted")
 	}
 }
 
 func TestPrepareExecuteStopsWhenFull(t *testing.T) {
-	board, m := rig(t, Config{})
+	board, m, s := rig(t, Config{})
 	ps := int(m.PageSize())
 	// 12 input pages for 7 free frames: initial mapping must stop at
 	// capacity and leave the rest for demand paging.
 	base, _ := board.Kern.Alloc(12 * ps)
-	if err := m.MapObject(0, base, uint32(12*ps), In); err != nil {
+	if err := s.MapObject(0, base, uint32(12*ps), In); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PrepareExecute(nil); err != nil {
+	if err := s.PrepareExecute(nil); err != nil {
 		t.Fatal(err)
 	}
 	occupied := 0
@@ -290,18 +295,18 @@ func TestDirectionString(t *testing.T) {
 }
 
 func TestManagerRejectsNilDependencies(t *testing.T) {
-	board, _ := rig(t, Config{})
-	if _, err := New(nil, board.IMU, platform.DPBase, platform.IMURegBase, 2048, Config{}); err == nil {
+	board, _, _ := rig(t, Config{})
+	if _, err := NewManager(nil, board.IMU, platform.DPBase, platform.IMURegBase, 2048, StaticPartition); err == nil {
 		t.Fatal("nil kernel accepted")
 	}
-	if _, err := New(board.Kern, nil, platform.DPBase, platform.IMURegBase, 2048, Config{}); err == nil {
+	if _, err := NewManager(board.Kern, nil, platform.DPBase, platform.IMURegBase, 2048, StaticPartition); err == nil {
 		t.Fatal("nil IMU accepted")
 	}
 }
 
 func TestBounceBufferAllocatedOnce(t *testing.T) {
-	_, m := rig(t, Config{BounceBuffer: true})
-	if !m.Config().BounceBuffer {
+	_, m, s := rig(t, Config{BounceBuffer: true})
+	if !s.Config().BounceBuffer {
 		t.Fatal("bounce flag lost")
 	}
 	if m.bounce == 0 {
@@ -310,13 +315,13 @@ func TestBounceBufferAllocatedOnce(t *testing.T) {
 }
 
 func TestFinishFlushesDirtyPages(t *testing.T) {
-	board, m := rig(t, Config{})
+	board, m, s := rig(t, Config{})
 	ps := int(m.PageSize())
 	base, _ := board.Kern.Alloc(ps)
-	if err := m.MapObject(3, base, uint32(ps), Out); err != nil {
+	if err := s.MapObject(3, base, uint32(ps), Out); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.PrepareExecute(nil); err != nil {
+	if err := s.PrepareExecute(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Find the frame holding the output page and dirty it through the
@@ -338,7 +343,7 @@ func TestFinishFlushesDirtyPages(t *testing.T) {
 	if err := board.IMU.SetEntry(frame, e); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Finish(); err != nil {
+	if err := s.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := board.Kern.ReadUser(base, 4)
