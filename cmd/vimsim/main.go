@@ -615,7 +615,7 @@ func runSaturate(o *options) error {
 	meter := o.tele.meter() // nil on a ramp: tele.validate rejected the combination
 	cfg := o.boardConfig(meter)
 	if o.ramp {
-		res, err := traffic.FindKnee(cfg, o.spec(), o.rampSpec())
+		res, err := traffic.FindKnee(o.spec(), o.rampSpec(), traffic.ServeStep(cfg))
 		if err != nil {
 			return err
 		}
@@ -636,15 +636,7 @@ func runSaturate(o *options) error {
 		o.arrival, o.rps, o.jobs, o.seed, o.budget)
 	fmt.Printf("board       %s\n", rep.Board)
 	fmt.Printf("policy      %s (%d slots, admission %s)\n", rep.Policy, rep.Slots, o.admit)
-	fmt.Printf("offered     %.0f jobs/s measured\n", rep.OfferedRPS)
-	fmt.Printf("achieved    %.0f jobs/s (%d of %d completed)\n", rep.AchievedRPS, rep.Completed, len(rep.Jobs))
-	fmt.Printf("goodput     %.0f jobs/s met their deadline\n", rep.GoodputRPS)
-	fmt.Printf("admission   %d admitted, %d degraded, %d rejected (shed rate %.2f)\n",
-		rep.Admitted, rep.Degraded, rep.Rejected, rep.ShedRate)
-	fmt.Printf("overloaded  %v\n", traffic.Overloaded(rep, 0, 0))
-	fmt.Printf("makespan    %.3f ms\n", rep.MakespanPs/1e9)
-	fmt.Printf("p99 lat.    %.3f ms (admitted only: %.3f ms)\n", rep.P99LatencyPs/1e9, rep.P99AdmittedPs/1e9)
-	fmt.Printf("deadlines   %d missed (miss rate %.2f over completed)\n", rep.Misses, rep.MissRate)
+	printSummary(rep.Summary, rep.Jobs)
 	fmt.Printf("utilisation %.2f mean across slots\n", rep.UtilMean)
 	fmt.Println("jobs")
 	printJobs(rep.Jobs, nil)
@@ -659,7 +651,7 @@ func runFleet(o *options) error {
 	meter := o.tele.meter() // nil on a ramp: tele.validate rejected the combination
 	cfg := o.fleetConfig(meter)
 	if o.ramp {
-		res, err := fleet.FindKnee(cfg, o.spec(), o.rampSpec())
+		res, err := traffic.FindKnee(o.spec(), o.rampSpec(), fleet.Step(cfg))
 		if err != nil {
 			return err
 		}
@@ -686,15 +678,7 @@ func runFleet(o *options) error {
 	fmt.Printf("board       %s x%d (%d slots each)\n", o.board, o.boards, o.slots)
 	fmt.Printf("dispatch    %s\n", rep.Dispatch)
 	fmt.Printf("policy      %s (admission %s)\n", cfg.Board.Policy, o.admit)
-	fmt.Printf("offered     %.0f jobs/s measured\n", rep.OfferedRPS)
-	fmt.Printf("achieved    %.0f jobs/s (%d of %d completed)\n", rep.AchievedRPS, rep.Completed, len(rep.Jobs))
-	fmt.Printf("goodput     %.0f jobs/s met their deadline\n", rep.GoodputRPS)
-	fmt.Printf("admission   %d admitted, %d degraded, %d rejected (shed rate %.2f)\n",
-		rep.Admitted, rep.Degraded, rep.Rejected, rep.ShedRate)
-	fmt.Printf("overloaded  %v\n", fleet.Overloaded(rep, 0, 0))
-	fmt.Printf("makespan    %.3f ms\n", rep.MakespanPs/1e9)
-	fmt.Printf("p99 lat.    %.3f ms (admitted only: %.3f ms)\n", rep.P99LatencyPs/1e9, rep.P99AdmittedPs/1e9)
-	fmt.Printf("deadlines   %d missed (miss rate %.2f over completed)\n", rep.Misses, rep.MissRate)
+	printSummary(rep.Summary, rep.Jobs)
 	fmt.Printf("reconfigs   %d (%.3f ms fleet-wide on the config ports)\n", rep.Reconfigs, rep.TotalReconfigPs/1e9)
 	fmt.Printf("utilisation %.2f mean per board (spread %.2f-%.2f)\n", rep.UtilMean, rep.UtilMin, rep.UtilMax)
 	fmt.Println("boards")
@@ -705,6 +689,20 @@ func runFleet(o *options) error {
 	fmt.Println("jobs        (merged arrival order)")
 	printJobs(rep.Jobs, boardOf)
 	return o.tele.export(meter)
+}
+
+// printSummary prints the serving aggregates saturate and fleet share;
+// jobs is the run's arrival-ordered job list the detector slides over.
+func printSummary(sum rcsched.Summary, jobs []rcsched.JobReport) {
+	fmt.Printf("offered     %.0f jobs/s measured\n", sum.OfferedRPS)
+	fmt.Printf("achieved    %.0f jobs/s (%d of %d completed)\n", sum.AchievedRPS, sum.Completed, len(jobs))
+	fmt.Printf("goodput     %.0f jobs/s met their deadline\n", sum.GoodputRPS)
+	fmt.Printf("admission   %d admitted, %d degraded, %d rejected (shed rate %.2f)\n",
+		sum.Admitted, sum.Degraded, sum.Rejected, sum.ShedRate)
+	fmt.Printf("overloaded  %v\n", traffic.Overloaded(jobs, 0, 0))
+	fmt.Printf("makespan    %.3f ms\n", sum.MakespanPs/1e9)
+	fmt.Printf("p99 lat.    %.3f ms (admitted only: %.3f ms)\n", sum.P99LatencyPs/1e9, sum.P99AdmittedPs/1e9)
+	fmt.Printf("deadlines   %d missed (miss rate %.2f over completed)\n", sum.Misses, sum.MissRate)
 }
 
 // printRamp prints a saturate or fleet ramp sweep: the detector, one line

@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	port := copro.NewPort()
-	u.Bind(port)
+	u.BindCh(0, port)
 	if err := u.SetEntry(0, imu.TLBEntry{Valid: true, Obj: 2, VPage: 0, Frame: 3}); err != nil {
 		log.Fatal(err)
 	}

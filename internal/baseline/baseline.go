@@ -230,17 +230,17 @@ func (r *Runner) run(items, chunkItems int, streams []*Stream, params ParamsFunc
 		}
 
 		// Launch (no OS: the application busy-waits on the status bits).
-		u.Start()
+		u.StartCh(0)
 		before := eng.NowPs()
 		if len(wrapped) == 1 {
 			// Poll until the coprocessor has consumed the parameters and
 			// invalidated their page (§3.2), then reuse frame 0 and its
 			// CAM slot for the final output page.
-			if _, err := eng.RunUntil(func() bool { return u.ParamFree() || u.IRQ() }, core.DefaultBudget); err != nil {
+			if _, err := eng.RunUntil(func() bool { return u.ParamFreeCh(0) || u.IRQ() }, core.DefaultBudget); err != nil {
 				return nil, err
 			}
 			hwPs += eng.NowPs() - before
-			if u.IRQ() && !u.ParamFree() {
+			if u.IRQ() && !u.ParamFreeCh(0) {
 				return nil, fmt.Errorf("baseline: coprocessor stopped before releasing the parameter page")
 			}
 			if _, err := k.BusRead32(stats.SWIMU, platform.IMURegBase+imu.RegSR); err != nil {
@@ -258,11 +258,11 @@ func (r *Runner) run(items, chunkItems int, streams []*Stream, params ParamsFunc
 			return nil, err
 		}
 		hwPs += eng.NowPs() - before
-		if u.FaultPending() {
+		if u.FaultPendingCh(0) {
 			return nil, fmt.Errorf("baseline: unexpected fault (obj %d addr %#x) — static mapping incomplete",
 				u.FaultObj(), u.FaultAddr())
 		}
-		u.AckDone()
+		u.AckDoneCh(0)
 		// Drain until the core has observed CP_START falling and dropped
 		// CP_FIN — with a slow core domain this takes several bus edges.
 		before = eng.NowPs()

@@ -112,7 +112,7 @@ func TestParamPageReleasedAfterStart(t *testing.T) {
 	if _, err := bench.Run(100_000); err != nil {
 		t.Fatal(err)
 	}
-	if !bench.IMU.ParamFree() {
+	if !bench.IMU.ParamFreeCh(0) {
 		t.Fatal("core did not invalidate the parameter page")
 	}
 }

@@ -131,7 +131,7 @@ func RunFig7() (*Result, error) {
 		return nil, err
 	}
 	port := copro.NewPort()
-	u.Bind(port)
+	u.BindCh(0, port)
 	if err := u.SetEntry(0, imu.TLBEntry{Valid: true, Obj: 2, VPage: 0, Frame: 3}); err != nil {
 		return nil, err
 	}

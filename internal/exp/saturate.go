@@ -29,13 +29,13 @@ func SaturateConfig(policy, admit string) rcsched.Config {
 // SaturateRamp sweeps the canonical ramp under cfg and returns the measured
 // points plus the detected saturation knee.
 func SaturateRamp(cfg rcsched.Config) (*traffic.Ramp, error) {
-	return traffic.FindKnee(cfg, traffic.Spec{Process: traffic.Poisson}, traffic.RampSpec{
+	return traffic.FindKnee(traffic.Spec{Process: traffic.Poisson}, traffic.RampSpec{
 		StartRPS: SaturateStartRPS,
 		StepRPS:  SaturateStepRPS,
 		Steps:    SaturateSteps,
 		Jobs:     SaturateJobs,
 		Seed:     SaturateSeed,
-	})
+	}, traffic.ServeStep(cfg))
 }
 
 // SaturateStream returns the experiment's canonical open-loop Poisson

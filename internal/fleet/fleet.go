@@ -25,8 +25,8 @@ import (
 
 	"repro"
 	"repro/internal/rcsched"
-	"repro/internal/stats"
 	"repro/internal/telemetry"
+	"repro/internal/traffic"
 )
 
 // Dispatch-policy names for Config.Dispatch.
@@ -122,7 +122,8 @@ type Decision struct {
 
 // Report aggregates one fleet run: every board's own serving report, the
 // dispatch trace, and the per-job reports of all boards merged back into
-// one arrival-ordered stream with fleet-wide aggregates over it.
+// one arrival-ordered stream, summarised by the same rcsched.Summarize a
+// board report uses.
 type Report struct {
 	Dispatch string
 	Boards   []*rcsched.Report // index = board; an unused board gets an empty report
@@ -133,29 +134,15 @@ type Report struct {
 	// Each generated job appears exactly once.
 	Jobs []rcsched.JobReport
 
-	// Fleet aggregates, defined exactly like their rcsched counterparts but
-	// over the merged population; the makespan is the last completion on
-	// any board. All rates are explicit zeros when their denominator is
-	// empty. UtilSpread fields measure per-board busy fractions of the
+	// Summary is the fold of Jobs, so the makespan is the last completion
+	// on any board. The reconfiguration and staging counts are board
+	// totals. The Util fields measure per-board busy fractions of the
 	// fleet makespan — the dispersion a balancing policy exists to narrow.
-	MakespanPs      float64
+	rcsched.Summary
 	TotalReconfigPs float64
 	Reconfigs       int
 	StageCommits    int
 	StageCancels    int
-	P99LatencyPs    float64
-	P99AdmittedPs   float64
-	Misses          int
-	MissRate        float64
-	Admitted        int
-	Degraded        int
-	Rejected        int
-	Completed       int
-	GoodJobs        int
-	OfferedRPS      float64
-	AchievedRPS     float64
-	GoodputRPS      float64
-	ShedRate        float64
 	UtilMean        float64
 	UtilMin         float64
 	UtilMax         float64
@@ -483,10 +470,21 @@ func Run(cfg Config, jobs []rcsched.Job) (*Report, error) {
 	return rep, nil
 }
 
+// Step is the fleet ramp step for traffic.FindKnee: one Run under cfg,
+// with the overload window sliding over the merged arrival-ordered jobs.
+func Step(cfg Config) traffic.Step {
+	return func(jobs []rcsched.Job) (rcsched.Summary, []rcsched.JobReport, error) {
+		rep, err := Run(cfg, jobs)
+		if err != nil {
+			return rcsched.Summary{}, nil, err
+		}
+		return rep.Summary, rep.Jobs, nil
+	}
+}
+
 // aggregate merges the per-board reports into the fleet-wide view: job
-// reports re-merged into arrival order, totals summed, rates recomputed
-// over the fleet makespan, and the per-board utilisation spread measured
-// against that shared makespan.
+// reports re-merged into arrival order and summarised, totals summed, and
+// the per-board utilisation spread measured against the fleet makespan.
 func aggregate(rep *Report, cfg Config) {
 	for _, br := range rep.Boards {
 		rep.Jobs = append(rep.Jobs, br.Jobs...)
@@ -494,9 +492,6 @@ func aggregate(rep *Report, cfg Config) {
 		rep.TotalReconfigPs += br.TotalReconfigPs
 		rep.StageCommits += br.StageCommits
 		rep.StageCancels += br.StageCancels
-		if br.MakespanPs > rep.MakespanPs {
-			rep.MakespanPs = br.MakespanPs
-		}
 	}
 	// Merge in arrival order (ties by ID): each board's list is one
 	// arrival-ordered slice of a common stream, so a sort of the
@@ -508,52 +503,8 @@ func aggregate(rep *Report, cfg Config) {
 		}
 		return rep.Jobs[i].ID < rep.Jobs[j].ID
 	})
-
-	var lats, admLats []float64
-	deadlined := 0
-	lastArrivalPs := 0.0
-	for i := range rep.Jobs {
-		j := &rep.Jobs[i]
-		if j.ArrivalPs > lastArrivalPs {
-			lastArrivalPs = j.ArrivalPs
-		}
-		switch j.Disposition {
-		case rcsched.Rejected:
-			rep.Rejected++
-			continue
-		case rcsched.Degraded:
-			rep.Degraded++
-		default:
-			rep.Admitted++
-			admLats = append(admLats, j.LatencyPs)
-		}
-		rep.Completed++
-		lats = append(lats, j.LatencyPs)
-		if j.DeadlinePs > 0 {
-			deadlined++
-			if j.Missed {
-				rep.Misses++
-			} else {
-				rep.GoodJobs++
-			}
-		} else {
-			rep.GoodJobs++
-		}
-	}
-	sort.Float64s(lats)
-	sort.Float64s(admLats)
-	rep.P99LatencyPs = stats.NearestRank(lats, 0.99)
-	rep.P99AdmittedPs = stats.NearestRank(admLats, 0.99)
-	if deadlined > 0 {
-		rep.MissRate = float64(rep.Misses) / float64(deadlined)
-	}
-	rep.ShedRate = float64(rep.Rejected) / float64(len(rep.Jobs))
-	if len(rep.Jobs) > 1 && lastArrivalPs > 0 {
-		rep.OfferedRPS = float64(len(rep.Jobs)-1) * 1e12 / lastArrivalPs
-	}
+	rep.Summary = rcsched.Summarize(rep.Jobs)
 	if rep.MakespanPs > 0 {
-		rep.AchievedRPS = float64(rep.Completed) * 1e12 / rep.MakespanPs
-		rep.GoodputRPS = float64(rep.GoodJobs) * 1e12 / rep.MakespanPs
 		rep.UtilMin = 2 // above any busy fraction; replaced by the first board
 		for _, br := range rep.Boards {
 			busy := 0.0
@@ -570,7 +521,5 @@ func aggregate(rep *Report, cfg Config) {
 			}
 		}
 		rep.UtilMean /= float64(len(rep.Boards))
-	} else {
-		rep.UtilMin = 0
 	}
 }

@@ -68,28 +68,19 @@ func TestOneBoardDifferential(t *testing.T) {
 						t.Fatalf("job %d routed to board %d of a 1-board fleet", d.Job, d.Board)
 					}
 				}
-				// Every aggregate the fleet report recomputes must equal the
-				// single board's own aggregation — same formulas, same jobs.
+				// The fleet's summary is the same fold over the same jobs, and
+				// its board totals and utilisation spread reduce to the single
+				// board's own values.
+				if rep.Summary != plain.Summary {
+					t.Errorf("summary diverges from plain rcsched.Serve:\n fleet %+v\n plain %+v",
+						rep.Summary, plain.Summary)
+				}
 				pairs := []struct {
 					name      string
 					got, want float64
 				}{
-					{"makespan", rep.MakespanPs, plain.MakespanPs},
 					{"reconfig_ps", rep.TotalReconfigPs, plain.TotalReconfigPs},
 					{"reconfigs", float64(rep.Reconfigs), float64(plain.Reconfigs)},
-					{"p99", rep.P99LatencyPs, plain.P99LatencyPs},
-					{"p99_admitted", rep.P99AdmittedPs, plain.P99AdmittedPs},
-					{"misses", float64(rep.Misses), float64(plain.Misses)},
-					{"miss_rate", rep.MissRate, plain.MissRate},
-					{"admitted", float64(rep.Admitted), float64(plain.Admitted)},
-					{"degraded", float64(rep.Degraded), float64(plain.Degraded)},
-					{"rejected", float64(rep.Rejected), float64(plain.Rejected)},
-					{"completed", float64(rep.Completed), float64(plain.Completed)},
-					{"good_jobs", float64(rep.GoodJobs), float64(plain.GoodJobs)},
-					{"offered_rps", rep.OfferedRPS, plain.OfferedRPS},
-					{"achieved_rps", rep.AchievedRPS, plain.AchievedRPS},
-					{"goodput_rps", rep.GoodputRPS, plain.GoodputRPS},
-					{"shed_rate", rep.ShedRate, plain.ShedRate},
 					{"util_mean", rep.UtilMean, plain.UtilMean},
 					{"util_min", rep.UtilMin, plain.UtilMean},
 					{"util_max", rep.UtilMax, plain.UtilMean},
@@ -330,13 +321,13 @@ func TestFleetKneeOnMergedReports(t *testing.T) {
 			boardB = append(boardB, j)
 		}
 	}
-	if traffic.OverloadedJobs(boardA, 0, 0) || traffic.OverloadedJobs(boardB, 0, 0) {
+	if traffic.Overloaded(boardA, 0, 0) || traffic.Overloaded(boardB, 0, 0) {
 		t.Fatal("fixture broken: a single board should look healthy on its own")
 	}
-	if !traffic.OverloadedJobs(merged, 0, 0) {
+	if !traffic.Overloaded(merged, 0, 0) {
 		t.Fatal("fixture broken: the merged order should carry an overload run")
 	}
-	if traffic.OverloadedJobs(append(append([]rcsched.JobReport{}, boardA...), boardB...), 0, 0) {
+	if traffic.Overloaded(append(append([]rcsched.JobReport{}, boardA...), boardB...), 0, 0) {
 		t.Error("per-board concatenation detected the cross-board run only by luck; fixture needs retuning")
 	}
 
@@ -359,21 +350,20 @@ func TestFleetKneeOnMergedReports(t *testing.T) {
 		tailB = append(tailB, at(j, 100+i, float64(i+1)*1e9+0.5e9))
 	}
 	concat := append(append([]rcsched.JobReport{}, tailA...), tailB...)
-	if !traffic.OverloadedJobs(concat, 0, 0) {
+	if !traffic.Overloaded(concat, 0, 0) {
 		t.Fatal("fixture broken: the concatenation seam should manufacture a failure run")
 	}
 	var interleaved []rcsched.JobReport
 	for i := range tailA { // true arrival order interleaves the boards
 		interleaved = append(interleaved, tailA[i], tailB[i])
 	}
-	if traffic.OverloadedJobs(interleaved, 0, 0) {
+	if traffic.Overloaded(interleaved, 0, 0) {
 		t.Error("true arrival order flagged overload: the failures were never consecutive")
 	}
 
 	// End to end on a real fleet: the merged report's job list is in strict
-	// arrival order, fleet.Overloaded agrees with running the detector over
-	// a hand-merged copy of the per-board reports, and a fleet offered far
-	// past its capacity does trip the detector.
+	// arrival order and carries every per-board job exactly once, and a
+	// fleet offered far past its capacity does trip the detector.
 	jobs := stream(t, 96, 7, 25600)
 	rep, err := fleet.Run(fleet.Config{
 		Boards: 2, Dispatch: fleet.Random, Seed: 99,
@@ -394,22 +384,52 @@ func TestFleetKneeOnMergedReports(t *testing.T) {
 			t.Fatal("fleet report's merged jobs are not in arrival order")
 		}
 	}
-	if !fleet.Overloaded(rep, 0, 0) {
+	if !traffic.Overloaded(rep.Jobs, 0, 0) {
 		t.Error("a 2-board fleet offered 16x its per-board knee did not read as overloaded")
 	}
 
 	// And the fleet ramp finds a knee strictly below its saturation rate.
-	ramp, err := fleet.FindKnee(fleet.Config{
+	ramp, err := traffic.FindKnee(traffic.Spec{Process: traffic.Poisson}, traffic.RampSpec{
+		StartRPS: 1600, StepRPS: 1600, Steps: 10, Jobs: 36, Seed: 7,
+	}, fleet.Step(fleet.Config{
 		Boards: 2, Dispatch: fleet.LeastLoaded, Seed: 99,
 		Board: rcsched.Config{Policy: "slack", Slots: 2},
-	}, traffic.Spec{Process: traffic.Poisson}, traffic.RampSpec{
-		StartRPS: 1600, StepRPS: 1600, Steps: 10, Jobs: 36, Seed: 7,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ramp.SaturationRPS == 0 || ramp.KneeRPS <= 0 || ramp.KneeRPS >= ramp.SaturationRPS {
 		t.Errorf("fleet ramp found knee %.0f / saturation %.0f", ramp.KneeRPS, ramp.SaturationRPS)
+	}
+}
+
+// TestOneBoardRampMatchesServe runs the one knee sweep over the same spec
+// and ramp twice: through a plain board and through a 1-board fleet. The
+// dispatcher is a pure routing layer, so every measured point, the knee
+// and the saturation rate must agree exactly.
+func TestOneBoardRampMatchesServe(t *testing.T) {
+	board := rcsched.Config{Policy: "slack", Slots: 2, Admit: rcsched.AdmitReject}
+	spec := traffic.Spec{Process: traffic.Poisson}
+	ramp := traffic.RampSpec{StartRPS: 800, StepRPS: 800, Steps: 10, Jobs: 24, Seed: 7}
+	plain, err := traffic.FindKnee(spec, ramp, traffic.ServeStep(board))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.SaturationRPS == 0 {
+		t.Fatal("fixture broken: the single-board ramp never saturated")
+	}
+	for _, dispatch := range allDispatches() {
+		fl, err := traffic.FindKnee(spec, ramp, fleet.Step(fleet.Config{Boards: 1, Dispatch: dispatch, Board: board}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fl.Points, plain.Points) {
+			t.Errorf("%s: 1-board fleet ramp points diverge:\n fleet %+v\n plain %+v", dispatch, fl.Points, plain.Points)
+		}
+		if fl.KneeRPS != plain.KneeRPS || fl.SaturationRPS != plain.SaturationRPS {
+			t.Errorf("%s: 1-board fleet knee %g / saturation %g, plain board %g / %g",
+				dispatch, fl.KneeRPS, fl.SaturationRPS, plain.KneeRPS, plain.SaturationRPS)
+		}
 	}
 }
 

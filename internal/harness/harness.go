@@ -75,7 +75,7 @@ func New(cfg Config, core copro.Coprocessor) (*Bench, error) {
 		return nil, err
 	}
 	port := copro.NewPort()
-	u.Bind(port)
+	u.BindCh(0, port)
 	core.Bind(port)
 	core.ResetCore()
 
@@ -139,19 +139,19 @@ func (b *Bench) SetParams(words ...uint32) error {
 // number of IMU cycles consumed. Any translation fault aborts with ErrFault
 // (this bench has no OS to service it).
 func (b *Bench) Run(maxEdges int64) (int64, error) {
-	b.IMU.Start()
+	b.IMU.StartCh(0)
 	start := b.IMUDom.Cycles()
 	_, err := b.Eng.RunUntil(func() bool {
-		return b.IMU.DonePending() || b.IMU.FaultPending()
+		return b.IMU.DonePendingCh(0) || b.IMU.FaultPendingCh(0)
 	}, maxEdges)
 	if err != nil {
 		return b.IMUDom.Cycles() - start, err
 	}
-	if b.IMU.FaultPending() {
+	if b.IMU.FaultPendingCh(0) {
 		return b.IMUDom.Cycles() - start, fmt.Errorf("%w: obj %d addr %#x",
 			ErrFault, b.IMU.FaultObj(), b.IMU.FaultAddr())
 	}
-	b.IMU.AckDone()
+	b.IMU.AckDoneCh(0)
 	b.Eng.RunCycles(b.IMUDom, 4) // let the ack propagate and the core reset
 	return b.IMUDom.Cycles() - start, nil
 }

@@ -269,9 +269,6 @@ func (u *IMU) SetChannels(n int) error {
 // Channels returns the configured channel count.
 func (u *IMU) Channels() int { return len(u.ch) }
 
-// Bind attaches the coprocessor port to channel 0.
-func (u *IMU) Bind(p *copro.Port) { u.BindCh(0, p) }
-
 // BindCh attaches the coprocessor port of channel i.
 func (u *IMU) BindCh(i int, p *copro.Port) {
 	c := &u.ch[i]

@@ -88,7 +88,7 @@ func newRig(t *testing.T, mode Mode, script []tbOp) *rig {
 		t.Fatal(err)
 	}
 	port := copro.NewPort()
-	u.Bind(port)
+	u.BindCh(0, port)
 	eng := sim.NewEngine()
 	dom := eng.NewDomain("imu", 40_000_000)
 	drv := &tbDriver{mem: copro.NewMem(port), dom: dom, script: script}
@@ -216,7 +216,7 @@ func TestFaultRaisesIRQAndRestartResumes(t *testing.T) {
 	r := newRig(t, MultiCycle, []tbOp{{obj: 9, addr: 0x1810, size: copro.Size32}})
 	// No mapping for obj 9 page 3 -> fault. (0x1810 >> 11 == 3)
 	r.runUntil(t, func() bool { return r.imu.IRQ() })
-	if !r.imu.FaultPending() {
+	if !r.imu.FaultPendingCh(0) {
 		t.Fatal("SR.FAULT not set")
 	}
 	if r.imu.FaultObj() != 9 {
@@ -235,12 +235,12 @@ func TestFaultRaisesIRQAndRestartResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.mapPage(9, 3, 2)
-	r.imu.Restart()
+	r.imu.RestartCh(0)
 	r.runUntil(t, func() bool { return len(r.drv.results) == 1 })
 	if got := r.drv.results[0].data; got != want {
 		t.Fatalf("post-restart data = %#x, want %#x", got, want)
 	}
-	if r.imu.FaultPending() || r.imu.IRQ() {
+	if r.imu.FaultPendingCh(0) || r.imu.IRQ() {
 		t.Fatal("fault state not cleared after restart")
 	}
 }
@@ -249,17 +249,17 @@ func TestFinSetsDoneAndAckClears(t *testing.T) {
 	r := newRig(t, MultiCycle, []tbOp{{obj: 0, addr: 0, size: copro.Size32}})
 	r.mapPage(0, 0, 0)
 	r.drv.finish = true
-	r.imu.Start()
-	r.runUntil(t, func() bool { return r.imu.DonePending() })
+	r.imu.StartCh(0)
+	r.runUntil(t, func() bool { return r.imu.DonePendingCh(0) })
 	if !r.imu.IRQ() {
 		t.Fatal("completion did not raise IRQ")
 	}
 	if r.imu.SR()&SRRunning == 0 {
 		t.Fatal("SR.RUNNING lost before ack")
 	}
-	r.imu.AckDone()
+	r.imu.AckDoneCh(0)
 	r.eng.RunCycles(r.dom, 3)
-	if r.imu.DonePending() || r.imu.IRQ() {
+	if r.imu.DonePendingCh(0) || r.imu.IRQ() {
 		t.Fatal("AckDone did not clear completion state")
 	}
 	if r.port.IMU().Start {
@@ -272,7 +272,7 @@ func TestParamPageInvalidation(t *testing.T) {
 	r.mapPage(copro.ParamObj, 0, 0)
 	r.drv.pinv = true
 	r.eng.RunCycles(r.dom, 5)
-	if !r.imu.ParamFree() {
+	if !r.imu.ParamFreeCh(0) {
 		t.Fatal("SR.PARAMFREE not set")
 	}
 	if r.imu.Entry(0).Valid {
@@ -281,8 +281,8 @@ func TestParamPageInvalidation(t *testing.T) {
 	if r.imu.Count.ParamFrees != 1 {
 		t.Fatalf("ParamFrees = %d, want 1", r.imu.Count.ParamFrees)
 	}
-	r.imu.ClearParamFree()
-	if r.imu.ParamFree() {
+	r.imu.ClearParamFreeCh(0)
+	if r.imu.ParamFreeCh(0) {
 		t.Fatal("ClearParamFree did not clear the bit")
 	}
 }

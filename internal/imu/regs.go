@@ -61,28 +61,15 @@ func (u *IMU) IRQ() bool { return u.irq }
 // committed state.
 func (u *IMU) IRQRef() *bool { return &u.irq }
 
-// FaultPending reports a pending translation fault on channel 0.
-func (u *IMU) FaultPending() bool { return u.ch[0].sr&SRFault != 0 }
-
 // FaultPendingCh reports a pending translation fault on channel i.
 func (u *IMU) FaultPendingCh(i int) bool { return u.ch[i].sr&SRFault != 0 }
-
-// DonePending reports a pending completion notification on channel 0.
-func (u *IMU) DonePending() bool { return u.ch[0].sr&SRDone != 0 }
 
 // DonePendingCh reports a pending completion notification on channel i.
 func (u *IMU) DonePendingCh(i int) bool { return u.ch[i].sr&SRDone != 0 }
 
-// ParamFree reports that channel 0's coprocessor has released the parameter
-// page.
-func (u *IMU) ParamFree() bool { return u.ch[0].sr&SRParamFree != 0 }
-
 // ParamFreeCh reports that channel i's coprocessor has released the
 // parameter page.
 func (u *IMU) ParamFreeCh(i int) bool { return u.ch[i].sr&SRParamFree != 0 }
-
-// ClearParamFree clears channel 0's parameter-free status bit.
-func (u *IMU) ClearParamFree() { u.ch[0].sr &^= SRParamFree }
 
 // ClearParamFreeCh clears channel i's parameter-free status bit.
 func (u *IMU) ClearParamFreeCh(i int) { u.ch[i].sr &^= SRParamFree }
@@ -93,27 +80,16 @@ func (u *IMU) FaultObj() uint8 { return uint8(u.ch[0].ar >> 24) }
 // FaultAddr decodes the faulting byte address from channel 0's AR.
 func (u *IMU) FaultAddr() uint32 { return u.ch[0].ar & 0x00ffffff }
 
-// Start requests CP_START assertion on channel 0 at the next hardware edge.
-func (u *IMU) Start() { u.ch[0].ctl |= ctlStart }
-
-// StartCh requests CP_START assertion on channel i.
+// StartCh requests CP_START assertion on channel i at the next hardware
+// edge.
 func (u *IMU) StartCh(i int) { u.ch[i].ctl |= ctlStart }
-
-// Stop requests CP_START deassertion on channel 0.
-func (u *IMU) Stop() { u.ch[0].ctl |= ctlStop }
 
 // StopCh requests CP_START deassertion on channel i.
 func (u *IMU) StopCh(i int) { u.ch[i].ctl |= ctlStop }
 
-// Restart resumes channel 0's faulted translation after the OS has fixed
+// RestartCh resumes channel i's faulted translation after the OS has fixed
 // the TLB.
-func (u *IMU) Restart() { u.ch[0].ctl |= ctlRestart }
-
-// RestartCh resumes channel i's faulted translation.
 func (u *IMU) RestartCh(i int) { u.ch[i].ctl |= ctlRestart }
-
-// AckDone acknowledges completion on channel 0.
-func (u *IMU) AckDone() { u.ch[0].ctl |= ctlAckDone }
 
 // AckDoneCh acknowledges completion on channel i.
 func (u *IMU) AckDoneCh(i int) { u.ch[i].ctl |= ctlAckDone }

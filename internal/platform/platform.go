@@ -179,7 +179,7 @@ func (b *Board) Assemble(coreHz, imuHz int64, core copro.Coprocessor) (*HW, erro
 		}
 	}
 	port := copro.NewPort()
-	b.IMU.Bind(port)
+	b.IMU.BindCh(0, port)
 	core.Bind(port)
 	core.ResetCore()
 

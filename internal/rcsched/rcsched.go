@@ -129,7 +129,10 @@ type JobReport struct {
 	Disposition Disposition
 }
 
-// Report aggregates one serving run.
+// Report aggregates one serving run: the Summary of its jobs (computed by
+// Summarize, the same fold the fleet report runs over its merged jobs)
+// plus the board's own detail — reconfiguration and staging totals, mean
+// wait and latency, slot occupancy and the hardware counters.
 type Report struct {
 	Board    string
 	Policy   string
@@ -138,48 +141,18 @@ type Report struct {
 
 	Jobs []JobReport
 
-	// MakespanPs is the hardware-timeline instant of the last completion.
-	MakespanPs      float64
+	Summary
+
+	// MeanWaitPs and MeanLatencyPs average over the completed jobs (an
+	// explicit 0 when none completed). StageCommits and StageCancels count
+	// pre-staged bitstreams that were swapped in, respectively discarded
+	// because their job dispatched elsewhere.
 	TotalReconfigPs float64
 	Reconfigs       int
 	MeanWaitPs      float64
 	MeanLatencyPs   float64
-
-	// P99LatencyPs is the nearest-rank 99th-percentile latency over the
-	// jobs that completed (rejected jobs never complete; an empty
-	// completion set reports an explicit 0). P99AdmittedPs restricts the
-	// percentile to slot-served jobs — the population whose tail admission
-	// control promises to bound. Misses/MissRate count completed jobs that
-	// finished after their deadline, over the completed jobs that carry
-	// one. StageCommits and StageCancels count pre-staged bitstreams that
-	// were swapped in, respectively discarded because their job dispatched
-	// elsewhere.
-	P99LatencyPs  float64
-	P99AdmittedPs float64
-	Misses        int
-	MissRate      float64
-	StageCommits  int
-	StageCancels  int
-
-	// Admission-control aggregates. Admitted/Degraded/Rejected partition
-	// the stream by disposition (admission off: everything Admitted).
-	// Completed counts jobs that produced output (admitted + degraded);
-	// GoodJobs are completions that met their deadline (deadline-free
-	// completions count — any finished job is useful work). OfferedRPS is
-	// the stream's arrival rate over its arrival span; AchievedRPS and
-	// GoodputRPS are completions, respectively deadline-met completions,
-	// per second of makespan. ShedRate is the rejected fraction of the
-	// whole stream. All rates are explicit zeros when their denominator is
-	// empty (e.g. every job rejected).
-	Admitted    int
-	Degraded    int
-	Rejected    int
-	Completed   int
-	GoodJobs    int
-	OfferedRPS  float64
-	AchievedRPS float64
-	GoodputRPS  float64
-	ShedRate    float64
+	StageCommits    int
+	StageCancels    int
 
 	// SlotBusyPs is each slot's occupied time (reconfiguration + execution);
 	// UtilMean is the mean busy fraction of the makespan across slots.
@@ -419,6 +392,25 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	// port runs a single staging DMA at a time.
 	estPs := func(j *Job) float64 { return ExecEstPs(j.App, j.Size, cfg.ShellHz) }
 	stageSlot := -1
+	// cancelStage aborts slot s's uncommitted staging transfer, freeing the
+	// configuration port.
+	cancelStage := func(s int) error {
+		if err := g.CancelStage(s); err != nil {
+			return err
+		}
+		slots[s].stageReady = -1
+		stageSlot = -1
+		rep.StageCancels++
+		return nil
+	}
+	// queued is the policy's view of the admission queue, in queue order.
+	queued := func() []*Job {
+		q := make([]*Job, len(queue))
+		for i, j := range queue {
+			q[i] = &order[j]
+		}
+		return q
+	}
 
 	// Admission control. swFreePs is the timed-SW server's next free
 	// instant — degraded jobs run the golden algorithm on the ARM core
@@ -453,14 +445,13 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				break
 			}
 		}
-		queued := make([]*Job, len(queue))
-		for i, qi := range queue {
-			queued[i] = &order[qi]
-			if order[qi].coreName == j.coreName {
+		ahead := queued()
+		for _, q := range ahead {
+			if q.coreName == j.coreName {
 				configPs = 0 // a job ahead may leave the bitstream resident
 			}
 		}
-		return bestCaseDonePs(nowPs, freePs, queued, estPs, j, configPs) > j.DeadlinePs
+		return bestCaseDonePs(nowPs, freePs, ahead, estPs, j, configPs) > j.DeadlinePs
 	}
 	// shed records a rejected or degraded job's report the instant the
 	// decision is made; neither disposition ever touches a shell slot.
@@ -634,12 +625,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 			return states
 		}
 		for len(queue) > 0 {
-			states := slotStates()
-			qjobs := make([]*Job, len(queue))
-			for i, j := range queue {
-				qjobs[i] = &order[j]
-			}
-			qi, s, ok := policy.Pick(qjobs, states, ctx)
+			qi, s, ok := policy.Pick(queued(), slotStates(), ctx)
 			if !ok {
 				break
 			}
@@ -699,24 +685,18 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				// The staged bitstream's job went elsewhere and a different
 				// application needs this slot: abort the transfer and pay the
 				// full stream. Resident neighbours are untouched.
-				if err := g.CancelStage(s); err != nil {
+				if err := cancelStage(s); err != nil {
 					return nil, err
 				}
-				slots[s].stageReady = -1
-				stageSlot = -1
-				rep.StageCancels++
 			}
 			// The demand stream about to start owns the configuration port:
 			// an uncommitted staging DMA still in flight anywhere else is
 			// aborted — one transfer on the port at a time.
 			if cfg.Stage && stageSlot >= 0 && !slots[stageSlot].stageCommit &&
 				slots[stageSlot].stageReady > now {
-				if err := g.CancelStage(stageSlot); err != nil {
+				if err := cancelStage(stageSlot); err != nil {
 					return nil, err
 				}
-				slots[stageSlot].stageReady = -1
-				stageSlot = -1
-				rep.StageCancels++
 			}
 			// Partial reconfiguration: empty the slot (the IMU channel
 			// unbinds; neighbours keep translating) and model the
@@ -747,12 +727,9 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 				}
 			}
 			if !wanted {
-				if err := g.CancelStage(stageSlot); err != nil {
+				if err := cancelStage(stageSlot); err != nil {
 					return nil, err
 				}
-				slots[stageSlot].stageReady = -1
-				stageSlot = -1
-				rep.StageCancels++
 			}
 		}
 
@@ -787,11 +764,7 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 			if target >= 0 {
 				hyp := slotStates()
 				hyp[target].Free = true
-				qjobs := make([]*Job, len(queue))
-				for i, j := range queue {
-					qjobs[i] = &order[j]
-				}
-				qi, hs, ok := policy.Pick(qjobs, hyp, ctx)
+				qi, hs, ok := policy.Pick(queued(), hyp, ctx)
 				if ok && hs == target {
 					next := &order[queue[qi]]
 					if g.Shell.Slots[target].Resident() != next.coreName {
@@ -837,49 +810,16 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 	rep.SWDPPs = board.Kern.TL.Ps(stats.SWDP)
 	rep.SWIMUPs = board.Kern.TL.Ps(stats.SWIMU)
 	rep.SWOSPs = board.Kern.TL.Ps(stats.SWOS)
-	// Aggregates run over the *completed* population — rejected jobs never
-	// produced output, so folding their zero latencies in would flatter
-	// every mean and percentile. Each divided quantity keeps an explicit
-	// zero when its denominator is empty (all-rejected runs included);
-	// with admission off every job completes and the arithmetic reduces
-	// bit-for-bit to the pre-admission-control aggregates.
-	wait, lat, lastArrivalPs := 0.0, 0.0, 0.0
-	var lats, admLats []float64
-	deadlined := 0
-	for i := range rep.Jobs {
-		j := &rep.Jobs[i]
-		if j.ArrivalPs > lastArrivalPs {
-			lastArrivalPs = j.ArrivalPs
-		}
-		switch j.Disposition {
-		case Rejected:
-			rep.Rejected++
-			continue
-		case Degraded:
-			rep.Degraded++
-		default:
-			rep.Admitted++
-			admLats = append(admLats, j.LatencyPs)
-		}
-		rep.Completed++
-		wait += j.QueueWaitPs
-		lat += j.LatencyPs
-		lats = append(lats, j.LatencyPs)
-		if j.DonePs > rep.MakespanPs {
-			rep.MakespanPs = j.DonePs
-		}
-		if j.DeadlinePs > 0 {
-			deadlined++
-			if j.Missed {
-				rep.Misses++
-			} else {
-				rep.GoodJobs++
-			}
-		} else {
-			rep.GoodJobs++ // no SLO: any completion is useful work
-		}
-	}
+	rep.Summary = Summarize(rep.Jobs)
+	// The means run over the same completed population as the summary.
 	if rep.Completed > 0 {
+		wait, lat := 0.0, 0.0
+		for i := range rep.Jobs {
+			if j := &rep.Jobs[i]; j.Disposition != Rejected {
+				wait += j.QueueWaitPs
+				lat += j.LatencyPs
+			}
+		}
 		rep.MeanWaitPs = wait / float64(rep.Completed)
 		rep.MeanLatencyPs = lat / float64(rep.Completed)
 	}
@@ -889,23 +829,6 @@ func Serve(cfg Config, jobs []Job) (*Report, error) {
 			util += b / rep.MakespanPs
 		}
 		rep.UtilMean = util / float64(cfg.Slots)
-		rep.AchievedRPS = float64(rep.Completed) * 1e12 / rep.MakespanPs
-		rep.GoodputRPS = float64(rep.GoodJobs) * 1e12 / rep.MakespanPs
-	}
-	// Deadline and admission aggregates: nearest-rank p99 over the
-	// completed population and its admitted subset, miss-rate over the
-	// completed deadlined jobs, offered load over the arrival span and the
-	// shed fraction of the whole stream.
-	sort.Float64s(lats)
-	sort.Float64s(admLats)
-	rep.P99LatencyPs = stats.NearestRank(lats, 0.99)
-	rep.P99AdmittedPs = stats.NearestRank(admLats, 0.99)
-	if deadlined > 0 {
-		rep.MissRate = float64(rep.Misses) / float64(deadlined)
-	}
-	rep.ShedRate = float64(rep.Rejected) / float64(len(order))
-	if len(order) > 1 && lastArrivalPs > 0 {
-		rep.OfferedRPS = float64(len(order)-1) * 1e12 / lastArrivalPs
 	}
 	// Idle time is the makespan remainder, making the three occupancy
 	// shares sum to MakespanPs per slot by construction.

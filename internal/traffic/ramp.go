@@ -22,21 +22,16 @@ func failed(j *rcsched.JobReport) bool {
 	return j.Disposition == rcsched.Rejected || j.Missed
 }
 
-// Overloaded applies the sliding-window failure-rate criterion to a serving
-// report: true when any window of `window` consecutive jobs (arrival order,
-// which is the report's job order) has a failure fraction strictly above
-// threshold. Zero window and threshold select the defaults.
-func Overloaded(rep *rcsched.Report, window int, threshold float64) bool {
-	return OverloadedJobs(rep.Jobs, window, threshold)
-}
-
-// OverloadedJobs applies the sliding-window criterion to an explicit job
-// list, which must be in arrival order. Callers aggregating several serving
-// runs — the fleet dispatcher merging per-board reports — must merge their
-// job lists back into one arrival-ordered sequence before calling: sliding
-// a window over per-board concatenations would miss failure runs that span
-// boards and manufacture runs across the concatenation seams.
-func OverloadedJobs(jobs []rcsched.JobReport, window int, threshold float64) bool {
+// Overloaded applies the sliding-window failure-rate criterion to a job
+// list in arrival order: true when any window of `window` consecutive jobs
+// has a failure fraction strictly above threshold. Zero window and
+// threshold select the defaults. A Report's Jobs are in arrival order;
+// callers aggregating several serving runs — the fleet dispatcher merging
+// per-board reports — must merge their job lists back into one
+// arrival-ordered sequence first: sliding a window over per-board
+// concatenations would miss failure runs that span boards and manufacture
+// runs across the concatenation seams.
+func Overloaded(jobs []rcsched.JobReport, window int, threshold float64) bool {
 	if window <= 0 {
 		window = DefaultWindow
 	}
@@ -77,16 +72,14 @@ type RampSpec struct {
 	Threshold float64
 }
 
-// RampPoint is one measured step of a saturation sweep.
+// RampPoint is one measured step of a saturation sweep: the step's target
+// rate, the summary of the run that served it (its OfferedRPS is the
+// measured offered rate of the generated stream) and the detector's
+// verdict.
 type RampPoint struct {
-	RPS          float64 // target offered rate of this step
-	OfferedRPS   float64 // measured offered rate of the generated stream
-	AchievedRPS  float64
-	GoodputRPS   float64
-	ShedRate     float64
-	MissRate     float64
-	P99LatencyPs float64
-	Overloaded   bool
+	RPS float64
+	rcsched.Summary
+	Overloaded bool
 }
 
 // Ramp is the result of a saturation sweep.
@@ -100,13 +93,29 @@ type Ramp struct {
 	SaturationRPS float64
 }
 
-// FindKnee sweeps offered load up the ramp under cfg, serving one stream of
-// spec's arrival process per step with the step's rate substituted in, and
-// stops at the first step the overload detector flags. The returned ramp
+// Step serves one ramp step's stream and returns the run's summary and its
+// job reports in arrival order — the order Overloaded slides over.
+type Step func(jobs []rcsched.Job) (rcsched.Summary, []rcsched.JobReport, error)
+
+// ServeStep is the single-board ramp step: one rcsched.Serve run under cfg.
+func ServeStep(cfg rcsched.Config) Step {
+	return func(jobs []rcsched.Job) (rcsched.Summary, []rcsched.JobReport, error) {
+		rep, err := rcsched.Serve(cfg, jobs)
+		if err != nil {
+			return rcsched.Summary{}, nil, err
+		}
+		return rep.Summary, rep.Jobs, nil
+	}
+}
+
+// FindKnee sweeps offered load up the ramp, serving one stream of spec's
+// arrival process per step — with the step's rate substituted in — through
+// serve, and stops at the first step the overload detector flags. serve is
+// ServeStep for one board or fleet.Step for a fleet. The returned ramp
 // holds every measured point plus the detected knee. Diurnal specs are
 // rejected: their rate lives in the phase schedule, so a ramp has nothing
 // to sweep.
-func FindKnee(cfg rcsched.Config, spec Spec, ramp RampSpec) (*Ramp, error) {
+func FindKnee(spec Spec, ramp RampSpec, serve Step) (*Ramp, error) {
 	if spec.Process == Diurnal {
 		return nil, fmt.Errorf("traffic: a diurnal schedule has no single rate to ramp")
 	}
@@ -126,21 +135,12 @@ func FindKnee(cfg rcsched.Config, spec Spec, ramp RampSpec) (*Ramp, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := rcsched.Serve(cfg, jobs)
+		sum, served, err := serve(jobs)
 		if err != nil {
 			return nil, fmt.Errorf("traffic: ramp step %d (%g jobs/s): %w", step, s.RPS, err)
 		}
-		over := Overloaded(rep, ramp.Window, ramp.Threshold)
-		out.Points = append(out.Points, RampPoint{
-			RPS:          s.RPS,
-			OfferedRPS:   rep.OfferedRPS,
-			AchievedRPS:  rep.AchievedRPS,
-			GoodputRPS:   rep.GoodputRPS,
-			ShedRate:     rep.ShedRate,
-			MissRate:     rep.MissRate,
-			P99LatencyPs: rep.P99LatencyPs,
-			Overloaded:   over,
-		})
+		over := Overloaded(served, ramp.Window, ramp.Threshold)
+		out.Points = append(out.Points, RampPoint{RPS: s.RPS, Summary: sum, Overloaded: over})
 		if over {
 			out.SaturationRPS = s.RPS
 			break

@@ -126,15 +126,15 @@ func TestStreamRejectsBadSpecs(t *testing.T) {
 }
 
 // TestOverloadedWindow exercises the sliding-window failure-rate criterion
-// on synthetic reports: a sustained failure run trips it, the same failures
+// on synthetic job lists: a sustained failure run trips it, the same failures
 // diluted across the stream do not.
 func TestOverloadedWindow(t *testing.T) {
-	mk := func(n int, fail func(i int) bool) *rcsched.Report {
-		rep := &rcsched.Report{Jobs: make([]rcsched.JobReport, n)}
-		for i := range rep.Jobs {
-			rep.Jobs[i] = rcsched.JobReport{ID: i, Disposition: rcsched.Admitted, Missed: fail(i)}
+	mk := func(n int, fail func(i int) bool) []rcsched.JobReport {
+		jobs := make([]rcsched.JobReport, n)
+		for i := range jobs {
+			jobs[i] = rcsched.JobReport{ID: i, Disposition: rcsched.Admitted, Missed: fail(i)}
 		}
-		return rep
+		return jobs
 	}
 	if Overloaded(mk(48, func(i int) bool { return false }), 12, 0.3) {
 		t.Error("clean stream flagged overloaded")
@@ -151,7 +151,7 @@ func TestOverloadedWindow(t *testing.T) {
 	// Rejected jobs count as failures too.
 	rej := mk(24, func(i int) bool { return false })
 	for i := 6; i < 12; i++ {
-		rej.Jobs[i].Disposition = rcsched.Rejected
+		rej[i].Disposition = rcsched.Rejected
 	}
 	if !Overloaded(rej, 12, 0.3) {
 		t.Error("rejection run not flagged")
@@ -169,9 +169,9 @@ func TestOverloadedWindow(t *testing.T) {
 // a knee strictly inside the ramp and below the saturation rate.
 func TestFindKneeLocatesSaturation(t *testing.T) {
 	ramp, err := FindKnee(
-		rcsched.Config{Policy: "slack", Slots: 2},
 		Spec{Process: Poisson},
 		RampSpec{StartRPS: 400, StepRPS: 400, Steps: 10, Jobs: 36, Seed: 42},
+		ServeStep(rcsched.Config{Policy: "slack", Slots: 2}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestFindKneeLocatesSaturation(t *testing.T) {
 
 // TestFindKneeRejectsBadRamps sweeps the ramp validation surface.
 func TestFindKneeRejectsBadRamps(t *testing.T) {
-	cfg := rcsched.Config{Slots: 2}
+	serve := ServeStep(rcsched.Config{Slots: 2})
 	for name, ramp := range map[string]RampSpec{
 		"zero start":    {StepRPS: 100, Steps: 2, Jobs: 8},
 		"zero step":     {StartRPS: 100, Steps: 2, Jobs: 8},
@@ -204,12 +204,12 @@ func TestFindKneeRejectsBadRamps(t *testing.T) {
 		"zero jobs":     {StartRPS: 100, StepRPS: 100, Steps: 2},
 		"negative step": {StartRPS: 100, StepRPS: -1, Steps: 2, Jobs: 8},
 	} {
-		if _, err := FindKnee(cfg, Spec{}, ramp); err == nil {
+		if _, err := FindKnee(Spec{}, ramp, serve); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := FindKnee(cfg, Spec{Process: Diurnal, Phases: []Phase{{RPS: 100, DurationPs: 1e9}}},
-		RampSpec{StartRPS: 100, StepRPS: 100, Steps: 2, Jobs: 8}); err == nil {
+	if _, err := FindKnee(Spec{Process: Diurnal, Phases: []Phase{{RPS: 100, DurationPs: 1e9}}},
+		RampSpec{StartRPS: 100, StepRPS: 100, Steps: 2, Jobs: 8}, serve); err == nil {
 		t.Error("diurnal ramp accepted — there is no single rate to sweep")
 	}
 }
